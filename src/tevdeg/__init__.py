@@ -40,6 +40,7 @@ from .errors import (
     DegreeUnderflow,
     HypothesisViolation,
     InvalidTarget,
+    LineDomainError,
     MismatchedRank,
     NegativeExponent,
     NegativeN,

@@ -289,9 +289,13 @@ def _sweep(cell_fn, args) -> list[RunRecord]:
         for g in range(args.g_min, args.g_max + 1)
         for d in range(args.d_min, args.d_max + 1)
     ]
-    if args.workers > 1:
-        with ProcessPoolExecutor(max_workers=args.workers) as pool:
-            return list(pool.map(cell_fn, cells))
+    workers = min(args.workers, len(cells))
+    if workers > 1:
+        # a few chunks per worker: cheap cells amortize the pickle round
+        # trip, and uneven cells still leave no worker idle for long
+        chunksize = max(1, len(cells) // (4 * workers))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(cell_fn, cells, chunksize=chunksize))
     return [cell_fn(cell) for cell in cells]
 
 
@@ -331,7 +335,8 @@ def _add_sweep_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--d-max", type=int)
     sub.add_argument(
         "--workers", type=int, default=1,
-        help="process pool size for sweeps; output order is unchanged",
+        help="process pool size for sweeps (>= 1, capped at the cell "
+        "count); output order is unchanged",
     )
 
 
@@ -423,6 +428,8 @@ def _require_grid(parser: argparse.ArgumentParser, args) -> None:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "workers", 1) < 1:
+        parser.error(f"--workers must be >= 1, got {args.workers}")
 
     swept = bool(getattr(args, "sweep", False))
     if args.command == "vtev":

@@ -23,6 +23,7 @@ __all__ = [
     "MismatchedRank",
     "SpecialClassOutOfBox",
     "DegreeUnderflow",
+    "LineDomainError",
     "NoSolution",
 ]
 
@@ -90,6 +91,14 @@ class SpecialClassOutOfBox(TevError):
 
 class DegreeUnderflow(TevError):
     """The requested Schubert-side degree 2d - 2 - g is negative."""
+
+
+class LineDomainError(TevError, ValueError):
+    """The line count needs genus g >= 0 and degree d >= 1.
+
+    Also a ValueError, the type these checks raised before they joined
+    the taxonomy, so existing callers catching it keep working.
+    """
 
 
 class NoSolution(TevError):

@@ -5,30 +5,32 @@ Schubert classes sigma_(a,b) are indexed by partitions in the
 sigma_a follows the two-row Pieri rule: sigma_a * sigma_(x,y) is the
 sum of sigma_(x',y') over x' + y' = x + y + a with the interlacing
 x' >= x >= y' >= y and x' <= m - 2. Integration reads off the
-multiplicity of the top class sigma_(m-2,m-2).
+multiplicity of the top class sigma_(m-2,m-2), and Poincare duality
+pairs sigma_(x,y) with sigma_(m-2-y, m-2-x) and with no other class of
+complementary codimension.
 
 The count of degree-d maps from a general genus-g curve to the line
-through the forced number of general points has two expressions:
+through the forced number of general points is the P^1 Tevelev degree
+of Cela, Pandharipande and Schmitt ("Tevelev degrees and Hurwitz
+moduli spaces"). This module evaluates both of their expressions:
 
-    tev_p1_schubert  - the Grassmannian integral over Gr(2, d+1) of
-                       sigma_1^g * sum of sigma_a * sigma_b over all
-                       ordered pairs a + b = 2d - 2 - g;
+    tev_p1_schubert  - the integral over Gr(2, d+1) of sigma_1^g times
+                       the sum of sigma_a * sigma_b over all ordered
+                       pairs a + b = 2d - 2 - g, evaluated by duality;
     tev_p1_binomial  - the closed form 2^g minus binomial corrections
-                       controlled by l = d - g - 1.
+                       controlled by l = d - g - 1, which vanish
+                       exactly when d >= g + 1.
 
-Under the vanishing convention binom(n, k) = 0 outside 0 <= k <= n,
-every correction term dies exactly when l >= 0, so the closed form
-collapses to 2^g if and only if d >= g + 1. The two routes are
-independent and cross-checked over a grid in the test suite.
-
-Both routes reject 2d - 2 - g < 0 (DegreeUnderflow): no claim is made
-for that range, even though such triples can be well-posed.
+The two routes share no code beyond the domain check and are
+cross-checked over a grid in the test suite. Both reject
+2d - 2 - g < 0 (DegreeUnderflow): no claim is made for that range,
+even though such triples can be well-posed.
 """
 
 from __future__ import annotations
 
 from .arith import binom
-from .errors import DegreeUnderflow, SpecialClassOutOfBox
+from .errors import DegreeUnderflow, LineDomainError, SpecialClassOutOfBox
 
 __all__ = [
     "SchubertCombo",
@@ -64,8 +66,12 @@ class SchubertCombo:
         self.terms = clean
 
     @classmethod
-    def zero(cls, m: int) -> "SchubertCombo":
-        return cls(m)
+    def _trusted(cls, m: int, terms: dict) -> "SchubertCombo":
+        """Wrap in-box partitions with nonzero multiplicities unchecked."""
+        combo = object.__new__(cls)
+        combo.m = m
+        combo.terms = terms
+        return combo
 
     @classmethod
     def sigma(cls, m: int, a: int, b: int = 0) -> "SchubertCombo":
@@ -154,7 +160,11 @@ def pieri_special(c: SchubertCombo, a: int) -> SchubertCombo:
         for yp in range(lo, hi + 1):
             key = (x + y + a - yp, yp)
             out[key] = out.get(key, 0) + mult
-    return SchubertCombo(c.m, out)
+    # interlacing keeps every product inside the box; only zero
+    # multiplicities (cancellation) need dropping
+    return SchubertCombo._trusted(
+        c.m, {key: mult for key, mult in out.items() if mult}
+    )
 
 
 def integral(c: SchubertCombo) -> int:
@@ -166,19 +176,43 @@ def integral(c: SchubertCombo) -> int:
 def tev_p1_schubert(g: int, d: int) -> int:
     """Degree count for the line as an integral over Gr(2, d+1).
 
-    Integrates sigma_1^g times the sum of sigma_a * sigma_b over all
-    ordered pairs a + b = 2d - 2 - g, truncated to the box.
+    The integrand is sigma_1^g times S, the sum of sigma_a * sigma_b
+    over ordered pairs a + b = w = 2d - 2 - g with both classes in the
+    box. By duality the integral of sigma_1^g * sigma_(x,y) is the
+    multiplicity of sigma_(box-y, box-x) in sigma_1^g, so the count is
+    S's multiplicities weighted by those of sigma_1^g. sigma_1^g is
+    built as a list of plain integers by g steps of the sigma_1 Pieri
+    rule; S comes from `pieri_special` on basis classes, one product
+    per unordered pair. Each call does O(g^2 + d^2) integer
+    operations and keeps nothing between calls.
     """
     _check_line_domain(g, d)
     m = d + 1
     box = m - 2
-    total = SchubertCombo.zero(m)
+    # power[y] is the multiplicity of sigma_(k-y, y) in sigma_1^k. The
+    # box is not imposed: sigma_1 never lowers the first row, so a class
+    # that leaves the box never re-enters it, and the pairing below
+    # reads only classes inside it.
+    power = [1]
+    for k in range(g):
+        step = [0] * ((k + 1) // 2 + 1)
+        for y, mult in enumerate(power):
+            step[y] += mult  # (x, y) -> (x + 1, y)
+            if y < k - y:  # (x, y) -> (x, y + 1)
+                step[y + 1] += mult
+        power = step
     weight = 2 * d - 2 - g
-    for a in range(max(0, weight - box), min(weight, box) + 1):
-        total = total + pieri_special(SchubertCombo.sigma(m, a), weight - a)
-    for _ in range(g):
-        total = pieri_special(total, 1)
-    return integral(total)
+    total = 0
+    # sigma_a * sigma_b and sigma_b * sigma_a are one product: pair
+    # each a <= b once and count it twice unless a == b
+    for a in range(max(0, weight - box), weight // 2 + 1):
+        b = weight - a
+        product = pieri_special(SchubertCombo.sigma(m, a), b)
+        paired = sum(
+            mult * power[box - x] for (x, _), mult in product.terms.items()
+        )
+        total += paired if a == b else 2 * paired
+    return total
 
 
 def tev_p1_binomial(g: int, d: int) -> int:
@@ -201,9 +235,9 @@ def tev_p1_binomial(g: int, d: int) -> int:
 
 def _check_line_domain(g: int, d: int) -> None:
     if g < 0:
-        raise ValueError(f"genus must be >= 0, got {g}")
+        raise LineDomainError(f"genus must be >= 0, got {g}")
     if d < 1:
-        raise ValueError(f"degree must be >= 1, got {d}")
+        raise LineDomainError(f"degree must be >= 1, got {d}")
     if 2 * d - 2 - g < 0:
         raise DegreeUnderflow(
             f"2d - 2 - g = {2 * d - 2 - g} is negative for (g, d) = ({g}, {d})"

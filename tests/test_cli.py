@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from tevdeg import TargetKind, TargetParseError
+from tevdeg import TargetKind, TargetParseError, cli
 from tevdeg.cli import main, parse_target, run_tev_p1, run_vtev
 
 
@@ -121,6 +121,28 @@ def test_tev_p1_underflow_exit(capsys):
     assert "DegreeUnderflow" in out
 
 
+def test_tev_p1_line_domain_exit(capsys):
+    for g, d in (("-1", "3"), ("0", "0")):
+        code, out = _run(capsys, ["tev-p1", "--g", g, "--d", d, "--json"])
+        assert code == 4
+        (record,) = _json_records(out)
+        assert record["status"] == "error"
+        assert record["error_kind"] == "LineDomainError"
+
+
+def test_tev_p1_sweep_records_bad_cells(capsys):
+    code, out = _run(
+        capsys,
+        ["tev-p1", "--sweep", "--g-min", "-1", "--g-max", "1", "--d-max", "2",
+         "--method", "both", "--json"],
+    )
+    assert code == 0
+    records = _json_records(out)
+    assert len(records) == 6
+    kinds = [r["error_kind"] for r in records]
+    assert kinds == ["LineDomainError"] * 2 + [None, None, "DegreeUnderflow", None]
+
+
 def test_qh_check_summary(capsys):
     code, out = _run(capsys, ["qh-check", "--r", "1", "--g-max", "0", "--d-max", "1", "--json"])
     assert code == 0
@@ -207,6 +229,34 @@ def test_sweep_workers_preserve_order_and_content(capsys):
     code, parallel = _run(capsys, argv + ["--workers", "2"])
     assert code == 0
     assert sequential == parallel
+
+
+def test_sweep_workers_below_one_rejected(capsys):
+    for workers in ("0", "-1"):
+        with pytest.raises(SystemExit) as exc:
+            main(["tev-p1", "--sweep", "--g-max", "0", "--d-max", "2",
+                  "--workers", workers])
+        assert exc.value.code == 2
+        assert "--workers must be >= 1" in capsys.readouterr().err
+
+
+def test_sweep_workers_capped_at_cell_count(capsys, monkeypatch):
+    sizes = []
+
+    class RecordingPool(cli.ProcessPoolExecutor):
+        def __init__(self, max_workers=None, **kwargs):
+            sizes.append(max_workers)
+            super().__init__(max_workers, **kwargs)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    argv = ["tev-p1", "--sweep", "--g-max", "0", "--d-max", "2",
+            "--method", "both", "--json"]
+    code, serial = _run(capsys, argv)
+    assert code == 0 and sizes == []
+    code, pooled = _run(capsys, argv + ["--workers", "3"])
+    assert code == 0
+    assert sizes == [2]
+    assert pooled == serial
 
 
 def test_out_writes_file(tmp_path, capsys):

@@ -118,15 +118,31 @@ def test_tev_p1_binomial_spot_values():
     assert tev_p1_binomial(0, 1) == 1
 
 
+def _schubert_by_pieri(g, d):
+    """The line integral by Pieri products alone, without duality."""
+    m = d + 1
+    box = m - 2
+    weight = 2 * d - 2 - g
+    total = SchubertCombo(m)
+    for a in range(max(0, weight - box), min(weight, box) + 1):
+        total = total + pieri_special(SchubertCombo.sigma(m, a), weight - a)
+    for _ in range(g):
+        total = pieri_special(total, 1)
+    return integral(total)
+
+
 def test_routes_agree_and_threshold_characterizes_2_to_g():
-    for g in range(0, 13):
-        for d in range(1, 14):
+    # holds every cell of perfbench's line-oracle windows
+    for g in range(0, 45):
+        for d in range(1, 49):
             if 2 * d - 2 - g < 0:
                 continue
             binomial = tev_p1_binomial(g, d)
             schubert = tev_p1_schubert(g, d)
             assert binomial == schubert, (g, d)
             assert (binomial == 2 ** g) == (d >= g + 1), (g, d)
+            if g <= 12 and d <= 13:
+                assert schubert == _schubert_by_pieri(g, d), (g, d)
 
 
 def test_counts_are_nonnegative_and_bounded_by_2_to_g():
