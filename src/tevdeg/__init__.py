@@ -38,6 +38,7 @@ from .closed_forms import (
 )
 from .errors import (
     DegreeUnderflow,
+    DomainError,
     HypothesisViolation,
     InvalidTarget,
     LineDomainError,

@@ -46,6 +46,7 @@ from enum import Enum
 from .arith import is_prime, legendre_valuation, padic_valuation
 from .closed_forms import vtev
 from .errors import (
+    DomainError,
     HypothesisViolation,
     NoSolution,
     NonFano,
@@ -158,7 +159,7 @@ def transversality_threshold(g: int) -> int:
     """Dimension bound 2g above which generic one-point evaluations
     of the relevant moduli become flat and birationally transverse."""
     if g < 0:
-        raise ValueError(f"genus must be >= 0, got {g}")
+        raise DomainError(f"genus must be >= 0, got {g}")
     return 2 * g
 
 
@@ -169,9 +170,9 @@ def check_condition_ii(s: int, t: int, r: int) -> bool:
     with surjective one- and two-point evaluation maps; s >= t >= 1.
     """
     if not s >= t >= 1:
-        raise ValueError(f"need s >= t >= 1, got s={s}, t={t}")
+        raise DomainError(f"need s >= t >= 1, got s={s}, t={t}")
     if r < 1:
-        raise ValueError(f"need r >= 1, got {r}")
+        raise DomainError(f"need r >= 1, got {r}")
     return s + t >= r + 1
 
 
@@ -380,7 +381,7 @@ def very_free_search(e: int, r: int, p: int, n_limit: int | None = None) -> Very
     if e < 3:
         raise HypothesisViolation(f"very-free search needs e >= 3, got {e}")
     if r < 1:
-        raise ValueError(f"need r >= 1, got {r}")
+        raise DomainError(f"need r >= 1, got {r}")
     step = r + 2 - e
     if step <= 0:
         raise NonFano(

@@ -16,9 +16,10 @@ decimal string, so arbitrarily large values survive any JSON parser.
 lexicographic order; `--workers` fans the cells out over a process
 pool without changing the output order.
 
-Exit codes: 0 ok, 2 parse error, 3 well-posedness error,
-4 hypothesis or formula-domain violation. Sweeps exit 0 as long as the
-sweep itself runs; per-cell failures are encoded in the records.
+Exit codes: 0 ok, 2 parse or usage error (an empty sweep grid is one),
+3 well-posedness error, 4 hypothesis or formula-domain violation.
+Sweeps exit 0 as long as the sweep itself runs; per-cell failures are
+encoded in the records.
 """
 
 from __future__ import annotations
@@ -236,10 +237,9 @@ def run_certify(target_text: str, g: int, d: int) -> RunRecord:
         "certify", {"target": target_text, "g": str(g), "d": str(d)}
     )
     try:
-        target = parse_target(target_text)
+        cert = certify_target(parse_target(target_text), g, d)
     except TevError as exc:
         return _fail(record, exc)
-    cert = certify_target(target, g, d)
     record.outputs = _certificate_outputs(cert)
     record.citations = [cert.cited_result]
     return record
@@ -423,6 +423,11 @@ def _require_point(parser: argparse.ArgumentParser, args) -> None:
 def _require_grid(parser: argparse.ArgumentParser, args) -> None:
     if args.g_max is None or args.d_max is None:
         parser.error("--sweep needs --g-max and --d-max")
+    if args.g_min > args.g_max or args.d_min > args.d_max:
+        parser.error(
+            f"empty sweep grid: g in [{args.g_min}, {args.g_max}], "
+            f"d in [{args.d_min}, {args.d_max}]"
+        )
 
 
 def main(argv=None) -> int:

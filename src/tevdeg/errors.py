@@ -23,6 +23,7 @@ __all__ = [
     "MismatchedRank",
     "SpecialClassOutOfBox",
     "DegreeUnderflow",
+    "DomainError",
     "LineDomainError",
     "NoSolution",
 ]
@@ -93,12 +94,17 @@ class DegreeUnderflow(TevError):
     """The requested Schubert-side degree 2d - 2 - g is negative."""
 
 
-class LineDomainError(TevError, ValueError):
-    """The line count needs genus g >= 0 and degree d >= 1.
+class DomainError(TevError, ValueError):
+    """An argument lies outside the domain of the computation, such as
+    a negative genus, a curve degree below 1, or a dimension below 1.
 
     Also a ValueError, the type these checks raised before they joined
     the taxonomy, so existing callers catching it keep working.
     """
+
+
+class LineDomainError(DomainError):
+    """The line count needs genus g >= 0 and degree d >= 1."""
 
 
 class NoSolution(TevError):

@@ -22,13 +22,32 @@ suite, where the genus-g counts on the line must come out 2^g.
 written down in closed form: this module is the independent
 cross-check for the closed-form evaluators, so it performs the ring
 arithmetic for real.
+
+Validation happens at the public boundary only. `QElement(r, coeffs)`
+checks the rank, the slot count and the q-exponents and copies every
+slot; `zero`, `one` and `h_power` check their own arguments. Ring
+operations (`q_mul`, `+`, `**`) build slots that are reduced and free
+of zero coefficients by construction and wrap them unchecked.
 """
 
 from __future__ import annotations
 
-from .errors import MismatchedRank
+from .errors import DomainError, MismatchedRank
 
 __all__ = ["QElement", "handle_element", "q_mul", "tqft_vtev"]
+
+
+def _check_rank(r: int) -> None:
+    if r < 1:
+        raise ValueError(f"ambient projective space needs r >= 1, got {r}")
+
+
+def _nonzero(slots) -> tuple:
+    """Slots with zero coefficients dropped, as an element's `coeffs`."""
+    return tuple([
+        {qe: c for qe, c in slot.items() if c} if 0 in slot.values() else slot
+        for slot in slots
+    ])
 
 
 class QElement:
@@ -42,8 +61,7 @@ class QElement:
     __slots__ = ("r", "coeffs")
 
     def __init__(self, r: int, coeffs=None):
-        if r < 1:
-            raise ValueError(f"ambient projective space needs r >= 1, got {r}")
+        _check_rank(r)
         if coeffs is None:
             coeffs = [{} for _ in range(r + 1)]
         if len(coeffs) != r + 1:
@@ -57,8 +75,18 @@ class QElement:
                 raise ValueError("negative q-exponents are not allowed")
 
     @classmethod
+    def _trusted(cls, r: int, coeffs: tuple) -> "QElement":
+        """Wrap a tuple of r + 1 slots with nonnegative q-exponents and
+        nonzero coefficients unchecked."""
+        element = object.__new__(cls)
+        element.r = r
+        element.coeffs = coeffs
+        return element
+
+    @classmethod
     def zero(cls, r: int) -> "QElement":
-        return cls(r)
+        _check_rank(r)
+        return cls._trusted(r, tuple({} for _ in range(r + 1)))
 
     @classmethod
     def one(cls, r: int) -> "QElement":
@@ -67,11 +95,14 @@ class QElement:
     @classmethod
     def h_power(cls, r: int, i: int, q_exp: int = 0) -> "QElement":
         """The basis monomial q^q_exp * h^i with 0 <= i <= r."""
+        _check_rank(r)
         if not 0 <= i <= r:
             raise ValueError(f"h-power must satisfy 0 <= i <= r, got {i}")
+        if q_exp < 0:
+            raise ValueError("negative q-exponents are not allowed")
         coeffs = [{} for _ in range(r + 1)]
         coeffs[i] = {q_exp: 1}
-        return cls(r, coeffs)
+        return cls._trusted(r, tuple(coeffs))
 
     def __eq__(self, other) -> bool:
         return (
@@ -91,10 +122,10 @@ class QElement:
         if self.r != other.r:
             raise MismatchedRank(f"cannot add elements over P^{self.r} and P^{other.r}")
         out = [dict(slot) for slot in self.coeffs]
-        for i, slot in enumerate(other.coeffs):
+        for bucket, slot in zip(out, other.coeffs):
             for qe, c in slot.items():
-                out[i][qe] = out[i].get(qe, 0) + c
-        return QElement(self.r, out)
+                bucket[qe] = bucket.get(qe, 0) + c
+        return QElement._trusted(self.r, _nonzero(out))
 
     def __mul__(self, other: "QElement") -> "QElement":
         if not isinstance(other, QElement):
@@ -155,35 +186,36 @@ class QElement:
 def q_mul(a: QElement, b: QElement) -> QElement:
     """Product in Z[q][h]/(h^(r+1) - q).
 
-    Convolves the sparse coefficients and then folds h^(r+1+j) into
-    q * h^j; since inputs have h-degree <= r, one fold suffices.
+    Convolves the sparse coefficients and folds in the same pass: the
+    product of slots i and j lands in slot k = i + j, or, when k > r,
+    in slot k - r - 1 one power of q higher (h^(r+1+j) = q * h^j).
+    Inputs have h-degree <= r, so k <= 2r and one fold suffices. A
+    monic relation h^(r+1) = c * q * h^b with b > 0 would need the fold
+    to repeat until the h-degree is at most r.
+
+    Both factors are trusted: `QElement(...)` validated them when they
+    entered the ring, and the result is wrapped without re-checking.
     """
     if a.r != b.r:
         raise MismatchedRank(f"cannot multiply elements over P^{a.r} and P^{b.r}")
     r = a.r
-    raw: list[dict[int, int]] = [{} for _ in range(2 * r + 1)]
+    out: list[dict[int, int]] = [{} for _ in range(r + 1)]
     for i, slot_a in enumerate(a.coeffs):
         if not slot_a:
             continue
         for j, slot_b in enumerate(b.coeffs):
             if not slot_b:
                 continue
-            bucket = raw[i + j]
+            k = i + j
+            if k > r:
+                bucket, shift = out[k - r - 1], 1
+            else:
+                bucket, shift = out[k], 0
             for qa, ca in slot_a.items():
                 for qb, cb in slot_b.items():
-                    key = qa + qb
+                    key = qa + qb + shift
                     bucket[key] = bucket.get(key, 0) + ca * cb
-    out: list[dict[int, int]] = [{} for _ in range(r + 1)]
-    for k, bucket in enumerate(raw):
-        if k <= r:
-            target, shift = k, 0
-        else:
-            target, shift = k - (r + 1), 1
-        slot = out[target]
-        for qe, c in bucket.items():
-            key = qe + shift
-            slot[key] = slot.get(key, 0) + c
-    return QElement(r, out)
+    return QElement._trusted(r, _nonzero(out))
 
 
 def handle_element(r: int) -> QElement:
@@ -208,9 +240,9 @@ def tqft_vtev(r: int, g: int, d: int, n: int) -> int:
     return 0, so no well-posedness check is performed here.
     """
     if r < 1:
-        raise ValueError(f"need r >= 1, got {r}")
+        raise DomainError(f"need r >= 1, got {r}")
     if g < 0 or d < 0 or n < 0:
-        raise ValueError(f"g, d, n must be >= 0, got ({g}, {d}, {n})")
+        raise DomainError(f"g, d, n must be >= 0, got ({g}, {d}, {n})")
     point = QElement.h_power(r, r)
     element = q_mul(point ** n, handle_element(r) ** g)
     return element.coeffs[r].get(d, 0)

@@ -22,6 +22,7 @@ from enum import Enum
 from fractions import Fraction
 
 from .errors import (
+    DomainError,
     InvalidTarget,
     NegativeN,
     NonFano,
@@ -234,8 +235,13 @@ class TevProblem:
 def c1_pairing(target: TargetSpec, d: int) -> int:
     """Pairing of c1 of the target with a degree-d curve class."""
     if d < 1:
-        raise ValueError(f"curve degree must be >= 1, got {d}")
+        raise DomainError(f"curve degree must be >= 1, got {d}")
     return d * target.index
+
+
+def _check_genus(g: int) -> None:
+    if g < 0:
+        raise DomainError(f"genus must be >= 0, got {g}")
 
 
 def marking_count(target: TargetSpec, g: int, d: int) -> Fraction:
@@ -243,8 +249,7 @@ def marking_count(target: TargetSpec, g: int, d: int) -> Fraction:
 
     Integrality is not enforced here; `make_problem` does that.
     """
-    if g < 0:
-        raise ValueError(f"genus must be >= 0, got {g}")
+    _check_genus(g)
     return 1 - g + Fraction(c1_pairing(target, d), target.r)
 
 
@@ -253,17 +258,20 @@ def make_problem(target: TargetSpec, g: int, d: int) -> TevProblem:
 
     Raises NonIntegerN, NegativeN, or UnstableRange when the triple is
     not well-posed (NonFano cannot survive TargetSpec construction but
-    is re-checked defensively).
+    is re-checked defensively), and DomainError when g < 0 or d < 1.
+    Integrality is decided in integers; the rational marking count is
+    only built to word the NonIntegerN message.
     """
     if target.index <= 0:
         raise NonFano(f"target has anticanonical degree {target.index} <= 0")
-    n = marking_count(target, g, d)
-    if n.denominator != 1:
+    _check_genus(g)
+    quotient, remainder = divmod(c1_pairing(target, d), target.r)
+    if remainder:
         raise NonIntegerN(
-            f"marking count 1 - g + d*I/r = {n} is not an integer "
-            f"(g={g}, d={d}, I={target.index}, r={target.r})"
+            f"marking count 1 - g + d*I/r = {marking_count(target, g, d)} "
+            f"is not an integer (g={g}, d={d}, I={target.index}, r={target.r})"
         )
-    n_int = int(n)
+    n_int = 1 - g + quotient
     if n_int < 0:
         raise NegativeN(f"marking count {n_int} is negative (g={g}, d={d})")
     if 2 * g - 2 + n_int <= 0:

@@ -298,3 +298,55 @@ def test_missing_point_flags_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["vtev", "--target", "p:1"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv, code, kind",
+    [
+        (["vtev", "--target", "p:2", "--g", "1", "--d", "2"], 0, None),
+        (["certify", "--target", "p:x", "--g", "1", "--d", "2"], 2, "TargetParseError"),
+        (["vtev", "--target", "quadric:2", "--g", "1", "--d", "2"], 2, "InvalidTarget"),
+        (["vtev", "--target", "p:2", "--g", "6", "--d", "2"], 3, "NegativeN"),
+        (["vtev", "--target", "p:2", "--g", "-1", "--d", "3"], 4, "DomainError"),
+        (["vtev", "--target", "p:2", "--g", "1", "--d", "0"], 4, "DomainError"),
+        (["certify", "--target", "p:2", "--g", "-1", "--d", "3"], 4, "DomainError"),
+        (["very-free", "--e", "3", "--r", "0", "--p", "5"], 4, "DomainError"),
+    ],
+)
+def test_exit_code_per_error_kind(capsys, argv, code, kind):
+    got, out = _run(capsys, argv + ["--json"])
+    assert got == code
+    (record,) = _json_records(out)
+    assert record["error_kind"] == kind
+    assert record["status"] == ("ok" if kind is None else "error")
+
+
+@pytest.mark.parametrize("command", ["vtev", "certify"])
+def test_sweep_records_bad_cells(capsys, command):
+    code, out = _run(
+        capsys,
+        [command, "--target", "p:2", "--sweep", "--g-min", "-1", "--g-max", "0",
+         "--d-min", "0", "--d-max", "2", "--json"],
+    )
+    assert code == 0
+    records = _json_records(out)
+    cells = [(int(r["inputs"]["g"]), int(r["inputs"]["d"])) for r in records]
+    assert cells == [(g, d) for g in (-1, 0) for d in (0, 1, 2)]
+    kinds = [r["error_kind"] for r in records]
+    # every g = -1 or d = 0 cell is a domain error; the rest still run
+    assert kinds[:4] == ["DomainError"] * 4
+    assert all(r["status"] == "error" for r in records[:4])
+    assert records[-1]["status"] == "ok"
+
+
+@pytest.mark.parametrize("command", ["vtev", "tev-p1", "certify"])
+def test_empty_sweep_grid_is_a_usage_error(capsys, command):
+    target = [] if command == "tev-p1" else ["--target", "p:2"]
+    for bounds in (["--g-min", "3", "--g-max", "0", "--d-max", "2"],
+                   ["--g-max", "1", "--d-min", "3", "--d-max", "2"]):
+        with pytest.raises(SystemExit) as exc:
+            main([command, *target, "--sweep", *bounds, "--json"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert "empty sweep grid" in captured.err
+        assert captured.out == ""

@@ -12,6 +12,7 @@ import random
 import pytest
 
 from tevdeg import (
+    DomainError,
     MismatchedRank,
     QElement,
     WellPosednessError,
@@ -32,6 +33,94 @@ def _random_element(rng, r, q_max=3, coeff_max=5):
                 slot[qe] = rng.randint(-coeff_max, coeff_max)
         coeffs.append(slot)
     return QElement(r, coeffs)
+
+
+def _two_pass_q_mul(a, b):
+    """The former product: convolve into 2r + 1 raw slots, then fold
+    h^(r+1+j) into q * h^j. Kept as a reference for `q_mul`."""
+    r = a.r
+    raw = [{} for _ in range(2 * r + 1)]
+    for i, slot_a in enumerate(a.coeffs):
+        for j, slot_b in enumerate(b.coeffs):
+            bucket = raw[i + j]
+            for qa, ca in slot_a.items():
+                for qb, cb in slot_b.items():
+                    bucket[qa + qb] = bucket.get(qa + qb, 0) + ca * cb
+    out = [{} for _ in range(r + 1)]
+    for k, bucket in enumerate(raw):
+        target, shift = (k, 0) if k <= r else (k - (r + 1), 1)
+        for qe, c in bucket.items():
+            out[target][qe + shift] = out[target].get(qe + shift, 0) + c
+    return QElement(r, out)
+
+
+def _assert_canonical(element):
+    # what the validating constructor would have stored
+    assert isinstance(element.coeffs, tuple)
+    assert len(element.coeffs) == element.r + 1
+    assert all(c for slot in element.coeffs for c in slot.values())
+    assert all(qe >= 0 for slot in element.coeffs for qe in slot)
+    assert QElement(element.r, element.coeffs) == element
+
+
+def test_q_mul_matches_two_pass_reference():
+    rng = random.Random(4242)
+    cancelled = 0
+    for _ in range(400):
+        r = rng.randint(1, 5)
+        a = _random_element(rng, r, coeff_max=3)
+        b = _random_element(rng, r, coeff_max=3)
+        product = q_mul(a, b)
+        assert product == _two_pass_q_mul(a, b)
+        _assert_canonical(product)
+        total = a + b
+        _assert_canonical(total)
+        cancelled += sum(
+            1
+            for i in range(r + 1)
+            for qe in set(a.coeffs[i]) & set(b.coeffs[i])
+            if a.coeffs[i][qe] + b.coeffs[i][qe] == 0
+        )
+    # negative coefficients must have made some slots cancel
+    assert cancelled > 0
+
+
+def test_q_mul_drops_cancelled_slots():
+    # (1 + h) * (1 - h) = 1 - h^2 = 1 - q on the line: the h slot cancels
+    one_plus_h = QElement(1, [{0: 1}, {0: 1}])
+    one_minus_h = QElement(1, [{0: 1}, {0: -1}])
+    product = q_mul(one_plus_h, one_minus_h)
+    assert product.coeffs == ({0: 1, 1: -1}, {})
+    # h + (-h) is the zero element, not a slot holding a zero
+    minus_h = QElement(1, [{}, {0: -1}])
+    assert (QElement.h_power(1, 1) + minus_h).coeffs == ({}, {})
+    assert (QElement.h_power(1, 1) + minus_h).is_zero()
+
+
+def test_public_constructor_still_validates():
+    with pytest.raises(ValueError):
+        QElement(2, [{}, {}])
+    with pytest.raises(ValueError):
+        QElement(2, [{}, {-1: 1}, {}])
+    for r in (0, -1):
+        with pytest.raises(ValueError):
+            QElement(r)
+        with pytest.raises(ValueError):
+            QElement.zero(r)
+        with pytest.raises(ValueError):
+            QElement.one(r)
+    # zero coefficients are dropped on the way in
+    assert QElement(1, [{0: 0}, {2: 0}]) == QElement.zero(1)
+
+
+def test_h_power_checks_its_arguments():
+    with pytest.raises(ValueError):
+        QElement.h_power(2, 1, q_exp=-1)
+    with pytest.raises(ValueError):
+        QElement.h_power(2, 3)
+    with pytest.raises(ValueError):
+        QElement.h_power(2, -1)
+    assert QElement.h_power(2, 1, q_exp=3) == QElement(2, [{}, {3: 1}, {}])
 
 
 def test_defining_relation_on_the_line():
@@ -163,6 +252,9 @@ def test_tqft_input_validation():
         tqft_vtev(0, 0, 1, 3)
     with pytest.raises(ValueError):
         tqft_vtev(1, -1, 1, 3)
+    for args in ((0, 0, 1, 3), (1, -1, 1, 3), (1, 0, -1, 3), (1, 0, 1, -1)):
+        with pytest.raises(DomainError):
+            tqft_vtev(*args)
 
 
 def test_repr_is_readable():

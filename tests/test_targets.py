@@ -7,12 +7,15 @@ from fractions import Fraction
 import pytest
 
 from tevdeg import (
+    DomainError,
     InvalidTarget,
+    LineDomainError,
     NegativeN,
     NonFano,
     NonIntegerN,
     TargetKind,
     TargetSpec,
+    TevError,
     TevProblem,
     UnstableRange,
     c1_pairing,
@@ -81,6 +84,69 @@ def test_dimension_constraint_holds_on_constructed_problems():
                     else:
                         with pytest.raises(Exception):
                             make_problem(target, g, d)
+
+
+def _rational_gate(target, g, d):
+    """The former well-posedness gate, decided on the rational marking
+    count; returns n or raises. Kept as a reference for `make_problem`."""
+    n = marking_count(target, g, d)
+    if n.denominator != 1:
+        raise NonIntegerN(
+            f"marking count 1 - g + d*I/r = {n} is not an integer "
+            f"(g={g}, d={d}, I={target.index}, r={target.r})"
+        )
+    if n < 0:
+        raise NegativeN(f"marking count {int(n)} is negative (g={g}, d={d})")
+    if 2 * g - 2 + n <= 0:
+        raise UnstableRange(
+            f"(g, n) = ({g}, {int(n)}) lies outside the stable range "
+            "2g - 2 + n > 0"
+        )
+    return int(n)
+
+
+GATE_TARGETS = [TargetSpec.projective_space(r) for r in range(1, 9)] + [
+    TargetSpec.hypersurface(3, 7),
+    TargetSpec.quadric(5),
+    TargetSpec.custom(5, 2, 3, 3, (2, 3)),
+]
+
+
+def test_integer_gate_matches_rational_gate():
+    kinds = set()
+    for target in GATE_TARGETS:
+        for g in range(0, 31):
+            for d in range(1, 61):
+                try:
+                    expected = _rational_gate(target, g, d)
+                except TevError as exc:
+                    with pytest.raises(type(exc)) as got:
+                        make_problem(target, g, d)
+                    assert got.value.kind == exc.kind
+                    assert str(got.value) == str(exc)
+                    kinds.add(exc.kind)
+                else:
+                    problem = make_problem(target, g, d)
+                    assert problem.n == expected
+                    assert (problem.g, problem.d) == (g, d)
+                    kinds.add("ok")
+    # every branch of the gate was exercised
+    assert kinds == {"ok", "NonIntegerN", "NegativeN", "UnstableRange"}
+
+
+def test_domain_errors_are_tev_errors():
+    target = TargetSpec.projective_space(2)
+    for g, d in ((-1, 3), (0, 0), (-1, 0)):
+        with pytest.raises(DomainError):
+            make_problem(target, g, d)
+        with pytest.raises(DomainError):
+            marking_count(target, g, d)
+    # the genus is checked before the degree, as before
+    with pytest.raises(DomainError, match="genus"):
+        make_problem(target, -1, 0)
+    assert issubclass(DomainError, ValueError)
+    assert issubclass(LineDomainError, DomainError)
+    assert LineDomainError("x").kind == "LineDomainError"
 
 
 def test_tev_problem_rejects_inconsistent_n():
