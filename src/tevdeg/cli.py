@@ -14,10 +14,14 @@ newline-delimited JSON objects with every number serialized as a
 decimal string, so arbitrarily large values survive any JSON parser.
 `--sweep` iterates a rectangular (g, d) grid, one record per cell in
 lexicographic order; `--workers` fans the cells out over a process
-pool without changing the output order.
+pool without changing the output order. The pool (and multiprocessing
+with it) is imported only when a sweep actually uses more than one
+worker, so single points and serial sweeps start faster.
 
-Exit codes: 0 ok, 2 parse or usage error (an empty sweep grid is one),
-3 well-posedness error, 4 hypothesis or formula-domain violation.
+Exit codes: 0 ok, 2 parse or usage error (an empty sweep or qh-check
+grid is one, and so is mixing point flags `--g`/`--d` with grid flags
+`--sweep`/`--g-max`/`--d-max`), 3 well-posedness error, 4 hypothesis or
+formula-domain violation.
 Sweeps exit 0 as long as the sweep itself runs; per-cell failures are
 encoded in the records.
 """
@@ -27,7 +31,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -291,6 +294,10 @@ def _sweep(cell_fn, args) -> list[RunRecord]:
     ]
     workers = min(args.workers, len(cells))
     if workers > 1:
+        # imported here: the pool pulls in multiprocessing, which a
+        # serial run never needs
+        from concurrent.futures import ProcessPoolExecutor
+
         # a few chunks per worker: cheap cells amortize the pickle round
         # trip, and uneven cells still leave no worker idle for long
         chunksize = max(1, len(cells) // (4 * workers))
@@ -416,17 +423,33 @@ def _exit_code(records: list[RunRecord], swept: bool) -> int:
 
 
 def _require_point(parser: argparse.ArgumentParser, args) -> None:
+    if args.g_max is not None or args.d_max is not None:
+        parser.error("--g-max and --d-max need --sweep")
     if args.g is None or args.d is None:
         parser.error("--g and --d are required without --sweep")
 
 
 def _require_grid(parser: argparse.ArgumentParser, args) -> None:
+    if args.g is not None or args.d is not None:
+        parser.error("--g and --d cannot be combined with --sweep")
     if args.g_max is None or args.d_max is None:
         parser.error("--sweep needs --g-max and --d-max")
-    if args.g_min > args.g_max or args.d_min > args.d_max:
+    _reject_empty_grid(
+        parser, "sweep grid", args.g_min, args.g_max, args.d_min, args.d_max
+    )
+
+
+def _reject_empty_grid(
+    parser: argparse.ArgumentParser,
+    what: str,
+    g_min: int,
+    g_max: int,
+    d_min: int,
+    d_max: int,
+) -> None:
+    if g_min > g_max or d_min > d_max:
         parser.error(
-            f"empty sweep grid: g in [{args.g_min}, {args.g_max}], "
-            f"d in [{args.d_min}, {args.d_max}]"
+            f"empty {what}: g in [{g_min}, {g_max}], d in [{d_min}, {d_max}]"
         )
 
 
@@ -452,6 +475,7 @@ def main(argv=None) -> int:
             _require_point(parser, args)
             records = [run_tev_p1(args.g, args.d, args.method)]
     elif args.command == "qh-check":
+        _reject_empty_grid(parser, "qh-check grid", 0, args.g_max, 1, args.d_max)
         records = run_qh_check(args.r, args.g_max, args.d_max, args.per_case)
     elif args.command == "certify":
         if swept:

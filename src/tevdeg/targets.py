@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
+from math import gcd
 
 from .errors import (
     DomainError,
@@ -249,6 +249,8 @@ def marking_count(target: TargetSpec, g: int, d: int) -> Fraction:
 
     Integrality is not enforced here; `make_problem` does that.
     """
+    from fractions import Fraction  # kept off the CLI's import path
+
     _check_genus(g)
     return 1 - g + Fraction(c1_pairing(target, d), target.r)
 
@@ -259,16 +261,19 @@ def make_problem(target: TargetSpec, g: int, d: int) -> TevProblem:
     Raises NonIntegerN, NegativeN, or UnstableRange when the triple is
     not well-posed (NonFano cannot survive TargetSpec construction but
     is re-checked defensively), and DomainError when g < 0 or d < 1.
-    Integrality is decided in integers; the rational marking count is
-    only built to word the NonIntegerN message.
+    Everything is decided in integers, the NonIntegerN message too: it
+    spells the marking count as the reduced fraction num/den.
     """
     if target.index <= 0:
         raise NonFano(f"target has anticanonical degree {target.index} <= 0")
     _check_genus(g)
-    quotient, remainder = divmod(c1_pairing(target, d), target.r)
+    c1 = c1_pairing(target, d)
+    quotient, remainder = divmod(c1, target.r)
     if remainder:
+        num = (1 - g) * target.r + c1
+        k = gcd(num, target.r)
         raise NonIntegerN(
-            f"marking count 1 - g + d*I/r = {marking_count(target, g, d)} "
+            f"marking count 1 - g + d*I/r = {num // k}/{target.r // k} "
             f"is not an integer (g={g}, d={d}, I={target.index}, r={target.r})"
         )
     n_int = 1 - g + quotient

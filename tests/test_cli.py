@@ -2,9 +2,16 @@
 
 from __future__ import annotations
 
+import concurrent.futures
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import tevdeg
 
 from tevdeg import TargetKind, TargetParseError, cli
 from tevdeg.cli import main, parse_target, run_tev_p1, run_vtev
@@ -243,12 +250,13 @@ def test_sweep_workers_below_one_rejected(capsys):
 def test_sweep_workers_capped_at_cell_count(capsys, monkeypatch):
     sizes = []
 
-    class RecordingPool(cli.ProcessPoolExecutor):
+    class RecordingPool(concurrent.futures.ProcessPoolExecutor):
         def __init__(self, max_workers=None, **kwargs):
             sizes.append(max_workers)
             super().__init__(max_workers, **kwargs)
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    # `_sweep` imports the pool class when it needs one
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     argv = ["tev-p1", "--sweep", "--g-max", "0", "--d-max", "2",
             "--method", "both", "--json"]
     code, serial = _run(capsys, argv)
@@ -350,3 +358,78 @@ def test_empty_sweep_grid_is_a_usage_error(capsys, command):
         captured = capsys.readouterr()
         assert "empty sweep grid" in captured.err
         assert captured.out == ""
+
+
+def test_empty_qh_check_grid_is_a_usage_error(capsys):
+    for bounds in (["--g-max", "-1", "--d-max", "5"],
+                   ["--g-max", "3", "--d-max", "0"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["qh-check", "--r", "2", *bounds, "--json"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert "empty qh-check grid" in captured.err
+        assert captured.out == ""
+
+
+@pytest.mark.parametrize("command", ["vtev", "tev-p1", "certify"])
+def test_point_flags_with_sweep_are_a_usage_error(capsys, command):
+    target = [] if command == "tev-p1" else ["--target", "p:2"]
+    for point in (["--g", "2", "--d", "3"], ["--g", "2"], ["--d", "3"]):
+        with pytest.raises(SystemExit) as exc:
+            main([command, *target, *point, "--sweep",
+                  "--g-max", "1", "--d-max", "1", "--json"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert "--g and --d cannot be combined with --sweep" in captured.err
+        assert captured.out == ""
+
+
+@pytest.mark.parametrize("command", ["vtev", "tev-p1", "certify"])
+def test_grid_flags_without_sweep_are_a_usage_error(capsys, command):
+    target = [] if command == "tev-p1" else ["--target", "p:2"]
+    for grid in (["--g-max", "4"], ["--d-max", "4"]):
+        with pytest.raises(SystemExit) as exc:
+            main([command, *target, "--g", "1", "--d", "2", *grid, "--json"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert "--g-max and --d-max need --sweep" in captured.err
+        assert captured.out == ""
+
+
+_IMPORT_PROBE = """
+import contextlib, io, sys
+from tevdeg import cli
+
+HEAVY = ("concurrent.futures.process", "multiprocessing", "fractions")
+
+def loaded():
+    return ",".join(m for m in HEAVY if m in sys.modules) or "-"
+
+print(loaded())
+# p:2 at d = 1 is a NonIntegerN cell, so the message path runs too
+sweep = ["vtev", "--target", "p:2", "--sweep", "--g-max", "2", "--d-max", "3"]
+with contextlib.redirect_stdout(io.StringIO()):
+    cli.main(sweep)
+print(loaded())
+with contextlib.redirect_stdout(io.StringIO()):
+    cli.main(sweep + ["--workers", "2"])
+print(loaded())
+"""
+
+
+def test_pool_and_fractions_load_only_when_used():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
+    run = subprocess.run(
+        [sys.executable, "-c", _IMPORT_PROBE],
+        env=env, capture_output=True, text=True, timeout=60, check=True,
+    )
+    after_import, after_serial, after_pooled = run.stdout.split()
+    assert after_import == "-"
+    assert after_serial == "-"
+    pooled = after_pooled.split(",")
+    assert "concurrent.futures.process" in pooled
+    assert "multiprocessing" in pooled

@@ -53,6 +53,27 @@ def test_make_problem_rejects_non_integer_n():
         make_problem(TargetSpec.projective_space(2), 0, 1)
 
 
+@pytest.mark.parametrize(
+    "target, g, d, count",
+    [
+        (TargetSpec.projective_space(2), 0, 1, "5/2"),
+        # negative numerators, written as Fraction spells them
+        (TargetSpec.projective_space(8), 30, 1, "-223/8"),
+        (TargetSpec.projective_space(3), 5, 1, "-8/3"),
+        # (1 - 10) * 4 + 2 = -34 over 4 reduces to -17/2
+        (TargetSpec.custom(4, 2), 10, 1, "-17/2"),
+    ],
+)
+def test_non_integer_n_message(target, g, d, count):
+    with pytest.raises(NonIntegerN) as exc:
+        make_problem(target, g, d)
+    assert str(exc.value) == (
+        f"marking count 1 - g + d*I/r = {count} is not an integer "
+        f"(g={g}, d={d}, I={target.index}, r={target.r})"
+    )
+    assert str(marking_count(target, g, d)) == count
+
+
 def test_make_problem_rejects_negative_n():
     # P^1 with g = 5, d = 1: n = 1 - 5 + 2 = -2
     with pytest.raises(NegativeN):
