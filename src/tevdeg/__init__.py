@@ -56,7 +56,7 @@ from .errors import (
     WellPosednessError,
     WrongTargetKind,
 )
-from .quantum import QElement, handle_element, q_mul, tqft_vtev
+from .quantum import PowerTable, QElement, handle_element, q_mul, tqft_vtev
 from .schubert import (
     SchubertCombo,
     integral,

@@ -12,6 +12,9 @@ Subcommands: vtev, tev-p1, qh-check, certify, very-free. Each run
 emits one record per computation; `--json` switches to
 newline-delimited JSON objects with every number serialized as a
 decimal string, so arbitrarily large values survive any JSON parser.
+`main` lifts Python's 4300-digit limit on int-to-str conversion while
+it runs, in pool workers too, and restores the caller's limit on
+return.
 `--sweep` iterates a rectangular (g, d) grid, one record per cell in
 lexicographic order; `--workers` fans the cells out over a process
 pool without changing the output order. The pool (and multiprocessing
@@ -20,8 +23,8 @@ worker, so single points and serial sweeps start faster.
 
 Exit codes: 0 ok, 2 parse or usage error (an empty sweep or qh-check
 grid is one, and so is mixing point flags `--g`/`--d` with grid flags
-`--sweep`/`--g-max`/`--d-max`), 3 well-posedness error, 4 hypothesis or
-formula-domain violation.
+`--sweep`/`--g-max`/`--d-max`/`--g-min`/`--d-min`/`--workers`), 3
+well-posedness error, 4 hypothesis or formula-domain violation.
 Sweeps exit 0 as long as the sweep itself runs; per-cell failures are
 encoded in the records.
 """
@@ -37,7 +40,7 @@ from functools import partial
 from .certify import Certificate, certify_target, very_free_search
 from .closed_forms import vtev
 from .errors import TargetParseError, TevError, WellPosednessError
-from .quantum import tqft_vtev
+from .quantum import PowerTable, tqft_vtev
 from .schubert import tev_p1_binomial, tev_p1_schubert
 from .targets import TargetSpec, make_problem
 
@@ -177,7 +180,11 @@ def run_qh_check(
     r: int, g_max: int, d_max: int, per_case: bool = False
 ) -> list[RunRecord]:
     """Sweep well-posed (g, d) for P^r and compare the ring evaluation
-    against the closed form; the summary record comes last."""
+    against the closed form; the summary record comes last.
+
+    One `PowerTable` serves the whole grid, so the handle and each
+    power of the point class and of the handle are computed once.
+    """
     summary = RunRecord(
         "qh-check",
         {"r": str(r), "g_max": str(g_max), "d_max": str(d_max)},
@@ -187,6 +194,7 @@ def run_qh_check(
         target = TargetSpec.projective_space(r)
     except TevError as exc:
         return [_fail(summary, exc)]
+    powers = PowerTable(r)
     cases = 0
     mismatches = 0
     for g in range(g_max + 1):
@@ -195,8 +203,8 @@ def run_qh_check(
                 problem = make_problem(target, g, d)
             except WellPosednessError:
                 continue
-            ring_value = tqft_vtev(r, g, d, problem.n)
-            closed_value = (r + 1) ** g
+            ring_value = tqft_vtev(r, g, d, problem.n, powers=powers)
+            closed_value = vtev(problem).value
             cases += 1
             agree = ring_value == closed_value
             if not agree:
@@ -286,13 +294,22 @@ def _certify_cell(target_text: str, cell: tuple[int, int]) -> RunRecord:
     return run_certify(target_text, cell[0], cell[1])
 
 
+def _grid(args) -> tuple[int, int, int, int]:
+    """The sweep window (g_min, g_max, d_min, d_max); `--g-min` and
+    `--d-min` default to 0 and 1."""
+    g_min = 0 if args.g_min is None else args.g_min
+    d_min = 1 if args.d_min is None else args.d_min
+    return g_min, args.g_max, d_min, args.d_max
+
+
 def _sweep(cell_fn, args) -> list[RunRecord]:
+    g_min, g_max, d_min, d_max = _grid(args)
     cells = [
         (g, d)
-        for g in range(args.g_min, args.g_max + 1)
-        for d in range(args.d_min, args.d_max + 1)
+        for g in range(g_min, g_max + 1)
+        for d in range(d_min, d_max + 1)
     ]
-    workers = min(args.workers, len(cells))
+    workers = min(1 if args.workers is None else args.workers, len(cells))
     if workers > 1:
         # imported here: the pool pulls in multiprocessing, which a
         # serial run never needs
@@ -301,7 +318,13 @@ def _sweep(cell_fn, args) -> list[RunRecord]:
         # a few chunks per worker: cheap cells amortize the pickle round
         # trip, and uneven cells still leave no worker idle for long
         chunksize = max(1, len(cells) // (4 * workers))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        # a worker that does not inherit main's lifted digit limit
+        # (any start method but fork) lifts it for itself
+        with ProcessPoolExecutor(
+            max_workers=workers,
+            initializer=sys.set_int_max_str_digits,
+            initargs=(0,),
+        ) as pool:
             return list(pool.map(cell_fn, cells, chunksize=chunksize))
     return [cell_fn(cell) for cell in cells]
 
@@ -336,14 +359,16 @@ def _add_common_flags(sub: argparse.ArgumentParser) -> None:
 
 def _add_sweep_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--sweep", action="store_true", help="iterate a (g, d) grid")
-    sub.add_argument("--g-min", type=int, default=0)
+    # --g-min, --d-min and --workers default to None so that an
+    # explicit value without --sweep can be told apart and rejected
+    sub.add_argument("--g-min", type=int, help="first genus of the sweep (default 0)")
     sub.add_argument("--g-max", type=int)
-    sub.add_argument("--d-min", type=int, default=1)
+    sub.add_argument("--d-min", type=int, help="first degree of the sweep (default 1)")
     sub.add_argument("--d-max", type=int)
     sub.add_argument(
-        "--workers", type=int, default=1,
+        "--workers", type=int,
         help="process pool size for sweeps (>= 1, capped at the cell "
-        "count); output order is unchanged",
+        "count, default 1); output order is unchanged",
     )
 
 
@@ -425,6 +450,8 @@ def _exit_code(records: list[RunRecord], swept: bool) -> int:
 def _require_point(parser: argparse.ArgumentParser, args) -> None:
     if args.g_max is not None or args.d_max is not None:
         parser.error("--g-max and --d-max need --sweep")
+    if not (args.g_min is None and args.d_min is None and args.workers is None):
+        parser.error("--g-min, --d-min and --workers need --sweep")
     if args.g is None or args.d is None:
         parser.error("--g and --d are required without --sweep")
 
@@ -434,9 +461,7 @@ def _require_grid(parser: argparse.ArgumentParser, args) -> None:
         parser.error("--g and --d cannot be combined with --sweep")
     if args.g_max is None or args.d_max is None:
         parser.error("--sweep needs --g-max and --d-max")
-    _reject_empty_grid(
-        parser, "sweep grid", args.g_min, args.g_max, args.d_min, args.d_max
-    )
+    _reject_empty_grid(parser, "sweep grid", *_grid(args))
 
 
 def _reject_empty_grid(
@@ -454,10 +479,24 @@ def _reject_empty_grid(
 
 
 def main(argv=None) -> int:
+    # str() refuses ints of more than 4300 digits by default, and exact
+    # values grow past that; lift the limit for this run only and give
+    # the caller's setting back, since a library must not change
+    # interpreter-wide state for whoever imported it
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return _main(argv)
+    finally:
+        sys.set_int_max_str_digits(saved)
+
+
+def _main(argv) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "workers", 1) < 1:
-        parser.error(f"--workers must be >= 1, got {args.workers}")
+    workers = getattr(args, "workers", None)
+    if workers is not None and workers < 1:
+        parser.error(f"--workers must be >= 1, got {workers}")
 
     swept = bool(getattr(args, "sweep", False))
     if args.command == "vtev":

@@ -23,10 +23,17 @@ written down in closed form: this module is the independent
 cross-check for the closed-form evaluators, so it performs the ring
 arithmetic for real.
 
+`tqft_vtev` reads every value off a `PowerTable`, which memoizes the
+powers of h^r and of H by square-and-multiply. A caller that evaluates
+many cells of one P^r (as `qh-check` does) builds one table and passes
+it to each call, so H and every power are computed once for the whole
+grid. Powers are shared within one table only: no table outlives its
+caller, and nothing is cached across calls at module level.
+
 Validation happens at the public boundary only. `QElement(r, coeffs)`
 checks the rank, the slot count and the q-exponents and copies every
 slot; `zero`, `one` and `h_power` check their own arguments. Ring
-operations (`q_mul`, `+`, `**`) build slots that are reduced and free
+operations (`q_mul`, `+`) build slots that are reduced and free
 of zero coefficients by construction and wrap them unchecked.
 """
 
@@ -34,7 +41,7 @@ from __future__ import annotations
 
 from .errors import DomainError, MismatchedRank
 
-__all__ = ["QElement", "handle_element", "q_mul", "tqft_vtev"]
+__all__ = ["PowerTable", "QElement", "handle_element", "q_mul", "tqft_vtev"]
 
 
 def _check_rank(r: int) -> None:
@@ -132,19 +139,6 @@ class QElement:
             return NotImplemented
         return q_mul(self, other)
 
-    def __pow__(self, k: int) -> "QElement":
-        if k < 0:
-            raise ValueError(f"exponent must be >= 0, got {k}")
-        result = QElement.one(self.r)
-        base = self
-        while k:
-            if k & 1:
-                result = q_mul(result, base)
-            k >>= 1
-            if k:
-                base = q_mul(base, base)
-        return result
-
     def is_zero(self) -> bool:
         return all(not slot for slot in self.coeffs)
 
@@ -231,18 +225,77 @@ def handle_element(r: int) -> QElement:
     return total
 
 
-def tqft_vtev(r: int, g: int, d: int, n: int) -> int:
+class PowerTable:
+    """Powers of the point class h^r and of the handle H over one P^r.
+
+    `point(n)` is (h^r)^n and `handle(g)` is H^g. Every power the table
+    computes is kept: power k is power k // 2 squared, times the base
+    when k is odd, so a new exponent costs at most two products once
+    its half is known, and a first power costs O(log k) products. H is
+    built through `handle_element` on the first call to `handle`.
+
+    A table lives as long as its caller keeps it; `tqft_vtev` builds a
+    fresh one unless it is handed one, and nothing is kept at module
+    level.
+    """
+
+    __slots__ = ("r", "_point", "_handle")
+
+    def __init__(self, r: int):
+        _check_rank(r)
+        self.r = r
+        self._point = {0: QElement.one(r), 1: QElement.h_power(r, r)}
+        self._handle: dict[int, QElement] | None = None
+
+    def point(self, n: int) -> QElement:
+        return _memo_power(self._point, n)
+
+    def handle(self, g: int) -> QElement:
+        if self._handle is None:
+            self._handle = {0: QElement.one(self.r), 1: handle_element(self.r)}
+        return _memo_power(self._handle, g)
+
+
+def _memo_power(memo: dict[int, QElement], k: int) -> QElement:
+    """memo[k] by square-and-multiply, adding each missing exponent on
+    the chain k, k // 2, ... to `memo`, which holds 0 and 1."""
+    if k < 0:
+        raise DomainError(f"exponent must be >= 0, got {k}")
+    missing = []
+    e = k
+    while e not in memo:
+        missing.append(e)
+        e >>= 1
+    for e in reversed(missing):
+        half = memo[e >> 1]
+        square = q_mul(half, half)
+        memo[e] = q_mul(square, memo[1]) if e & 1 else square
+    return memo[k]
+
+
+def tqft_vtev(
+    r: int, g: int, d: int, n: int, *, powers: PowerTable | None = None
+) -> int:
     """Genus-g, degree-d count of maps to P^r through n general points.
 
     Evaluates (h^r)^n * H^g in the quantum ring and reads the q^d
     coefficient of the h^r component. The ring grading enforces the
     dimension constraint d*(r+1) = r*(n+g-1): tuples violating it
     return 0, so no well-posedness check is performed here.
+
+    Both powers come from `powers`, a `PowerTable` over the same P^r
+    that a caller evaluating many cells passes to every call; without
+    one, a fresh table serves this call alone.
     """
     if r < 1:
         raise DomainError(f"need r >= 1, got {r}")
     if g < 0 or d < 0 or n < 0:
         raise DomainError(f"g, d, n must be >= 0, got ({g}, {d}, {n})")
-    point = QElement.h_power(r, r)
-    element = q_mul(point ** n, handle_element(r) ** g)
+    if powers is None:
+        powers = PowerTable(r)
+    elif powers.r != r:
+        raise MismatchedRank(
+            f"power table over P^{powers.r} used for a count on P^{r}"
+        )
+    element = q_mul(powers.point(n), powers.handle(g))
     return element.coeffs[r].get(d, 0)

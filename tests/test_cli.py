@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import concurrent.futures
+import contextlib
+import dataclasses
 import json
 import os
 import subprocess
@@ -13,7 +15,8 @@ import pytest
 
 import tevdeg
 
-from tevdeg import TargetKind, TargetParseError, cli
+from tevdeg import TargetKind, TargetParseError, cli, closed_forms
+from tevdeg.closed_forms import vtev_projective
 from tevdeg.cli import main, parse_target, run_tev_p1, run_vtev
 
 
@@ -433,3 +436,133 @@ def test_pool_and_fractions_load_only_when_used():
     pooled = after_pooled.split(",")
     assert "concurrent.futures.process" in pooled
     assert "multiprocessing" in pooled
+
+
+def test_qh_check_compares_against_the_closed_form(capsys, monkeypatch):
+    def wrong_projective(problem):
+        right = vtev_projective(problem)
+        return dataclasses.replace(right, value=right.value + 1)
+
+    monkeypatch.setitem(
+        closed_forms._DISPATCH, TargetKind.PROJECTIVE_SPACE, wrong_projective
+    )
+    code, out = _run(
+        capsys,
+        ["qh-check", "--r", "2", "--g-max", "3", "--d-max", "8", "--json"],
+    )
+    assert code == 0
+    (summary,) = _json_records(out)
+    assert int(summary["outputs"]["cases"]) > 0
+    assert summary["outputs"]["mismatches"] == summary["outputs"]["cases"]
+
+
+@contextlib.contextmanager
+def _int_digit_limit(limit):
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(saved)
+
+
+def _round_trips(text, expected):
+    """Whether a decimal string read back from JSON is exactly `expected`."""
+    with _int_digit_limit(0):
+        return int(text) == expected and str(expected) == text
+
+
+def test_vtev_point_beyond_4300_digits(capsys):
+    limit = sys.get_int_max_str_digits()
+    code, out = _run(
+        capsys, ["vtev", "--target", "p:2", "--g", "10000", "--d", "6668", "--json"]
+    )
+    assert code == 0
+    (record,) = _json_records(out)
+    assert len(record["outputs"]["value"]) > 4300
+    assert _round_trips(record["outputs"]["value"], 3 ** 10000)
+    # the interpreter's limit is the caller's again
+    assert sys.get_int_max_str_digits() == limit
+
+
+@pytest.mark.parametrize("workers", [[], ["--workers", "2"]])
+def test_sweep_across_4300_digits(capsys, workers):
+    code, out = _run(
+        capsys,
+        ["vtev", "--target", "p:2", "--sweep", "--g-min", "9009", "--g-max",
+         "9020", "--d-min", "6700", "--d-max", "6700", "--json", *workers],
+    )
+    assert code == 0
+    records = _json_records(out)
+    assert [int(r["inputs"]["g"]) for r in records] == list(range(9009, 9021))
+    values = [r["outputs"]["value"] for r in records]
+    # 3^9013 is the first value with more than 4300 digits
+    assert len(values[3]) == 4300 and len(values[4]) == 4301
+    for g, value in zip(range(9009, 9021), values):
+        assert _round_trips(value, 3 ** g)
+
+
+def test_spawned_workers_lift_the_digit_limit(capsys, monkeypatch):
+    # fork hands the parent's lifted limit to each worker; spawn starts
+    # each worker from a fresh interpreter with the default limit
+    import multiprocessing
+
+    class SpawnPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers=None, **kwargs):
+            kwargs["mp_context"] = multiprocessing.get_context("spawn")
+            super().__init__(max_workers, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SpawnPool)
+    code, out = _run(
+        capsys,
+        ["vtev", "--target", "p:2", "--sweep", "--g-min", "9012", "--g-max",
+         "9013", "--d-min", "6700", "--d-max", "6700", "--workers", "2", "--json"],
+    )
+    assert code == 0
+    values = [r["outputs"]["value"] for r in _json_records(out)]
+    assert [len(v) for v in values] == [4300, 4301]
+    assert _round_trips(values[1], 3 ** 9013)
+
+
+def test_qh_check_per_case_beyond_the_digit_limit(capsys):
+    # A qh-check grid reaching 4300 digits has millions of cells, so
+    # this run lowers the limit to 640, the least Python allows: over
+    # P^280 at d = 280 every g <= 280 is well-posed, and 281^g passes
+    # 640 digits from g = 262 on.
+    with _int_digit_limit(640):
+        code, out = _run(
+            capsys,
+            ["qh-check", "--r", "280", "--g-max", "280", "--d-max", "280",
+             "--per-case", "--json"],
+        )
+        assert sys.get_int_max_str_digits() == 640
+    assert code == 0
+    *cells, summary = _json_records(out)
+    assert summary["outputs"] == {"cases": "281", "mismatches": "0"}
+    last = cells[-1]
+    assert (last["inputs"]["g"], last["inputs"]["d"]) == ("280", "280")
+    assert len(last["outputs"]["ring"]) > 640
+    assert _round_trips(last["outputs"]["ring"], 281 ** 280)
+    assert last["outputs"]["closed_form"] == last["outputs"]["ring"]
+
+
+@pytest.mark.parametrize("command", ["vtev", "tev-p1", "certify"])
+@pytest.mark.parametrize(
+    "flag", [["--g-min", "0"], ["--d-min", "2"], ["--workers", "2"]]
+)
+def test_sweep_only_flags_without_sweep_are_a_usage_error(capsys, command, flag):
+    target = [] if command == "tev-p1" else ["--target", "p:2"]
+    with pytest.raises(SystemExit) as exc:
+        main([command, *target, "--g", "1", "--d", "2", *flag, "--json"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert "--g-min, --d-min and --workers need --sweep" in captured.err
+    assert captured.out == ""
+
+
+def test_readme_lists_the_sweep_only_flags_as_usage_errors():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    usage = readme[readme.index("These are usage errors"):]
+    usage = usage[:usage.index("\n\n")]
+    for flag in ("--g-min", "--d-min", "--workers"):
+        assert flag in usage, flag

@@ -7,6 +7,7 @@ multiplication routine under test.
 
 from __future__ import annotations
 
+import math
 import random
 
 import pytest
@@ -14,14 +15,17 @@ import pytest
 from tevdeg import (
     DomainError,
     MismatchedRank,
+    PowerTable,
     QElement,
     WellPosednessError,
     TargetSpec,
     handle_element,
     make_problem,
     q_mul,
+    quantum,
     tqft_vtev,
 )
+from tevdeg.cli import run_qh_check
 
 
 def _random_element(rng, r, q_max=3, coeff_max=5):
@@ -261,3 +265,123 @@ def test_repr_is_readable():
     assert repr(QElement.zero(2)) == "0"
     assert repr(QElement.h_power(1, 1, q_exp=2)) == "q^2*h"
     assert repr(handle_element(2)) == "3*h^2"
+
+
+def _binary_power(x, k):
+    result = QElement.one(x.r)
+    while k:
+        if k & 1:
+            result = q_mul(result, x)
+        k >>= 1
+        if k:
+            x = q_mul(x, x)
+    return result
+
+
+def _per_cell_reference(r, g, d, n):
+    """The former evaluation: a fresh handle and fresh binary powers
+    over `q_mul` for every cell. Kept as a reference for `PowerTable`."""
+    handle = QElement.zero(r)
+    for i in range(r + 1):
+        handle = handle + q_mul(QElement.h_power(r, i), QElement.h_power(r, r - i))
+    point = QElement.h_power(r, r)
+    element = q_mul(_binary_power(point, n), _binary_power(handle, g))
+    return element.coeffs[r].get(d, 0)
+
+
+# the ring-oracle benchmark's sweeps: rank -> (g_max, d_max)
+_BENCH_WINDOWS = {1: (19, 60), 2: (23, 50), 3: (24, 48), 5: (29, 40), 8: (19, 60)}
+
+
+@pytest.mark.parametrize("r", sorted(_BENCH_WINDOWS))
+def test_qh_check_matches_per_cell_reference(r):
+    g_max, d_max = _BENCH_WINDOWS[r]
+    *cells, summary = run_qh_check(r, g_max, d_max, per_case=True)
+    target = TargetSpec.projective_space(r)
+    expected = []
+    for g in range(g_max + 1):
+        for d in range(1, d_max + 1):
+            try:
+                n = make_problem(target, g, d).n
+            except WellPosednessError:
+                continue
+            expected.append((g, d, _per_cell_reference(r, g, d, n)))
+    got = [
+        (int(c.inputs["g"]), int(c.inputs["d"]), int(c.outputs["ring"]))
+        for c in cells
+    ]
+    assert got == expected
+    assert summary.outputs == {"cases": str(len(expected)), "mismatches": "0"}
+
+
+def _count_calls(monkeypatch, name):
+    calls = [0]
+    original = getattr(quantum, name)
+
+    def counted(*args):
+        calls[0] += 1
+        return original(*args)
+
+    monkeypatch.setattr(quantum, name, counted)
+    return calls
+
+
+def test_lone_evaluation_takes_logarithmically_many_products(monkeypatch):
+    products = _count_calls(monkeypatch, "q_mul")
+    r, g, d, n = 1, 2000, 3000, 4001
+    assert tqft_vtev(r, g, d, n) == 2 ** g
+    # squarings and multiplications for both powers, the r + 1
+    # products of the handle, and the final product
+    bound = 2 * (math.log2(n) + math.log2(g)) + r + 2
+    assert products[0] <= bound, (products[0], bound)
+
+
+def test_qh_check_builds_the_handle_once_per_call(monkeypatch):
+    handles = _count_calls(monkeypatch, "handle_element")
+    for r, (g_max, d_max) in _BENCH_WINDOWS.items():
+        before = handles[0]
+        run_qh_check(r, g_max, d_max)
+        assert handles[0] - before == 1, r
+
+
+def test_nothing_is_cached_across_calls(monkeypatch):
+    products = _count_calls(monkeypatch, "q_mul")
+
+    def cost(call):
+        start = products[0]
+        call()
+        return products[0] - start
+
+    def sweep():
+        run_qh_check(3, 24, 48, per_case=True)
+
+    assert cost(sweep) == cost(sweep) > 0
+    # a lone call costs what a call on a fresh table costs, every time,
+    # however often other calls have asked for the same powers
+    fresh = cost(lambda: tqft_vtev(2, 3, 6, 7, powers=PowerTable(2)))
+    assert fresh > 1
+    lone = [cost(lambda: tqft_vtev(2, 3, 6, 7)) for _ in range(2)]
+    assert lone == [fresh, fresh]
+
+
+def test_power_table_powers():
+    for r in (1, 2, 5):
+        powers = PowerTable(r)
+        handle = handle_element(r)
+        for k in (0, 1, 2, 7, 12, 31, 6, 3):
+            # (h^r)^k = q^(rk // (r+1)) * h^(rk mod (r+1))
+            q_exp, h_exp = divmod(r * k, r + 1)
+            assert powers.point(k) == QElement.h_power(r, h_exp, q_exp=q_exp)
+            assert powers.handle(k) == _binary_power(handle, k)
+
+
+def test_power_table_rejects_bad_input():
+    with pytest.raises(ValueError):
+        PowerTable(0)
+    with pytest.raises(DomainError):
+        PowerTable(2).point(-1)
+    with pytest.raises(DomainError):
+        PowerTable(2).handle(-3)
+    with pytest.raises(MismatchedRank):
+        tqft_vtev(2, 3, 6, 7, powers=PowerTable(3))
+    assert tqft_vtev(2, 3, 6, 7, powers=PowerTable(2)) == 27
