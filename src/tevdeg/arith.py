@@ -9,7 +9,6 @@ anywhere in this package.
 from __future__ import annotations
 
 import math
-import random
 
 __all__ = [
     "binom",
@@ -77,6 +76,8 @@ def is_prime(n: int) -> bool:
             return n == p
     bases = list(_MR_WITNESSES)
     if n >= _MR_DETERMINISTIC_BOUND:
+        import random  # kept off the CLI's import path
+
         rng = random.Random(n)
         bases += [rng.randrange(2, n - 1) for _ in range(_MR_EXTRA_ROUNDS)]
     return all(_strong_probable_prime(n, b) for b in bases)

@@ -16,10 +16,16 @@ decimal string, so arbitrarily large values survive any JSON parser.
 it runs, in pool workers too, and restores the caller's limit on
 return.
 `--sweep` iterates a rectangular (g, d) grid, one record per cell in
-lexicographic order; `--workers` fans the cells out over a process
-pool without changing the output order. The pool (and multiprocessing
-with it) is imported only when a sweep actually uses more than one
-worker, so single points and serial sweeps start faster.
+lexicographic order. `--workers N` is an upper bound: a sweep may fan
+its cells out over a pool of up to N processes (never more than it has
+cells) without changing the output. A Schubert sweep (`tev-p1
+--method schubert|both`) always uses the pool. A closed-form sweep
+(`vtev`, `certify`, `tev-p1 --method binomial`) runs in this process
+unless max(g_max, d_max) * r * e, a bound on the size of its largest
+value, reaches `POOL_MIN_SIZE`: below that a cell costs less than the
+pool's start-up. The pool (and multiprocessing with it) is imported
+only when a sweep uses it, so single points and serial sweeps start
+faster.
 
 Exit codes: 0 ok, 2 parse or usage error (an empty sweep or qh-check
 grid is one, and so is mixing point flags `--g`/`--d` with grid flags
@@ -42,7 +48,7 @@ from .closed_forms import vtev
 from .errors import TargetParseError, TevError, WellPosednessError
 from .quantum import PowerTable, tqft_vtev
 from .schubert import tev_p1_binomial, tev_p1_schubert
-from .targets import TargetSpec, make_problem
+from .targets import TargetSpec, degree_step, make_problem
 
 __all__ = ["RunRecord", "main", "parse_target"]
 
@@ -184,6 +190,8 @@ def run_qh_check(
 
     One `PowerTable` serves the whole grid, so the handle and each
     power of the point class and of the handle are computed once.
+    Only degrees with an integral marking count reach `make_problem`,
+    which still decides every other well-posedness condition.
     """
     summary = RunRecord(
         "qh-check",
@@ -195,10 +203,11 @@ def run_qh_check(
     except TevError as exc:
         return [_fail(summary, exc)]
     powers = PowerTable(r)
+    step = degree_step(target)
     cases = 0
     mismatches = 0
     for g in range(g_max + 1):
-        for d in range(1, d_max + 1):
+        for d in range(step, d_max + 1, step):
             try:
                 problem = make_problem(target, g, d)
             except WellPosednessError:
@@ -282,16 +291,20 @@ def run_very_free(e: int, r: int, p: int) -> RunRecord:
     return record
 
 
-def _vtev_cell(target_text: str, cell: tuple[int, int]) -> RunRecord:
-    return run_vtev(target_text, cell[0], cell[1])
+def _run_cell(command: str, option: str, cell: tuple[int, int]) -> RunRecord:
+    """One (g, d) cell of `vtev`, `certify` or `tev-p1`; `option` is
+    the target text, or the method for `tev-p1`.
 
-
-def _tev_p1_cell(method: str, cell: tuple[int, int]) -> RunRecord:
-    return run_tev_p1(cell[0], cell[1], method)
-
-
-def _certify_cell(target_text: str, cell: tuple[int, int]) -> RunRecord:
-    return run_certify(target_text, cell[0], cell[1])
+    A pool pickles its task function by reference, so the task is this
+    module-level function rather than a `run_*`, which callers may
+    rebind; it looks the `run_*` up when it runs.
+    """
+    g, d = cell
+    if command == "tev-p1":
+        return run_tev_p1(g, d, option)
+    if command == "vtev":
+        return run_vtev(option, g, d)
+    return run_certify(option, g, d)
 
 
 def _grid(args) -> tuple[int, int, int, int]:
@@ -302,6 +315,44 @@ def _grid(args) -> tuple[int, int, int, int]:
     return g_min, args.g_max, d_min, args.d_max
 
 
+# A closed-form cell (vtev, certify, tev-p1 --method binomial) takes
+# about 10 us until its value nears 10^4 bits, far less than starting,
+# feeding and shutting down a process pool. So such a sweep pools only
+# when `_size_proxy` of its grid reaches this many bits. On 2 vCPUs a
+# 40 x 60 vtev p:2 grid of well-posed cells breaks even near g = 4000
+# (proxy 8000, values of about 6300 bits).
+POOL_MIN_SIZE = 8192
+
+
+def _size_proxy(r: int, e: int, g_max: int, d_max: int) -> int:
+    """max(g_max, d_max) * r * e for a target of dimension r and degree
+    e (r = e = 1 for the line).
+
+    It is known before any cell runs, and every closed-form value with
+    g <= g_max and d <= d_max has at most this many bits plus one.
+    """
+    return max(g_max, d_max) * r * e
+
+
+def _pool_pays(args) -> bool:
+    """Whether a sweep's cells cost enough to be worth a process pool.
+
+    The answer reads only the command, the target and the grid, never
+    a clock, so a sweep makes the same choice on every run.
+    """
+    if args.command == "tev-p1":
+        if args.method != "binomial":
+            return True  # Pieri products: costly, uneven cells
+        r = e = 1
+    else:
+        try:
+            target = parse_target(args.target)
+        except TevError:
+            return False  # every cell is the same cheap error record
+        r, e = target.r, target.e
+    return _size_proxy(r, e, args.g_max, args.d_max) >= POOL_MIN_SIZE
+
+
 def _sweep(cell_fn, args) -> list[RunRecord]:
     g_min, g_max, d_min, d_max = _grid(args)
     cells = [
@@ -310,7 +361,7 @@ def _sweep(cell_fn, args) -> list[RunRecord]:
         for d in range(d_min, d_max + 1)
     ]
     workers = min(1 if args.workers is None else args.workers, len(cells))
-    if workers > 1:
+    if workers > 1 and _pool_pays(args):
         # imported here: the pool pulls in multiprocessing, which a
         # serial run never needs
         from concurrent.futures import ProcessPoolExecutor
@@ -367,8 +418,10 @@ def _add_sweep_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--d-max", type=int)
     sub.add_argument(
         "--workers", type=int,
-        help="process pool size for sweeps (>= 1, capped at the cell "
-        "count, default 1); output order is unchanged",
+        help="most processes a sweep may use (>= 1, capped at the cell "
+        "count, default 1); Schubert sweeps use them, closed-form sweeps "
+        f"only once max(g_max, d_max) * r * e reaches {POOL_MIN_SIZE}; "
+        "output is unchanged",
     )
 
 
@@ -499,32 +552,19 @@ def _main(argv) -> int:
         parser.error(f"--workers must be >= 1, got {workers}")
 
     swept = bool(getattr(args, "sweep", False))
-    if args.command == "vtev":
-        if swept:
-            _require_grid(parser, args)
-            records = _sweep(partial(_vtev_cell, args.target), args)
-        else:
-            _require_point(parser, args)
-            records = [run_vtev(args.target, args.g, args.d)]
-    elif args.command == "tev-p1":
-        if swept:
-            _require_grid(parser, args)
-            records = _sweep(partial(_tev_p1_cell, args.method), args)
-        else:
-            _require_point(parser, args)
-            records = [run_tev_p1(args.g, args.d, args.method)]
-    elif args.command == "qh-check":
+    if args.command == "qh-check":
         _reject_empty_grid(parser, "qh-check grid", 0, args.g_max, 1, args.d_max)
         records = run_qh_check(args.r, args.g_max, args.d_max, args.per_case)
-    elif args.command == "certify":
+    elif args.command == "very-free":
+        records = [run_very_free(args.e, args.r, args.p)]
+    else:
+        option = args.method if args.command == "tev-p1" else args.target
         if swept:
             _require_grid(parser, args)
-            records = _sweep(partial(_certify_cell, args.target), args)
+            records = _sweep(partial(_run_cell, args.command, option), args)
         else:
             _require_point(parser, args)
-            records = [run_certify(args.target, args.g, args.d)]
-    else:
-        records = [run_very_free(args.e, args.r, args.p)]
+            records = [_run_cell(args.command, option, (args.g, args.d))]
 
     text = _render_all(records, args.json)
     if args.out:

@@ -35,6 +35,7 @@ __all__ = [
     "TargetSpec",
     "TevProblem",
     "c1_pairing",
+    "degree_step",
     "make_problem",
     "marking_count",
 ]
@@ -253,6 +254,17 @@ def marking_count(target: TargetSpec, g: int, d: int) -> Fraction:
 
     _check_genus(g)
     return 1 - g + Fraction(c1_pairing(target, d), target.r)
+
+
+def degree_step(target: TargetSpec) -> int:
+    """The least degree d >= 1 with an integral marking count.
+
+    n = 1 - g + d*I/r is an integer exactly when r divides d*I, that
+    is, at the multiples of r / gcd(I, r), whatever g is; so a caller
+    that wants only well-posed cells can skip all other degrees. For
+    P^r this is r.
+    """
+    return target.r // gcd(target.index, target.r)
 
 
 def make_problem(target: TargetSpec, g: int, d: int) -> TevProblem:

@@ -177,3 +177,6 @@ def test_is_prime_known_hard_cases():
     assert not is_prime(2 ** 61 + 1)      # 3 * 768614336404564651
     assert is_prime(10 ** 18 + 9)
     assert not is_prime((2 ** 61 - 1) ** 2)  # above the deterministic bound
+    # a prime above 2**64 passes every round, the seeded ones too
+    assert is_prime(2 ** 89 - 1)
+    assert not is_prime((2 ** 61 - 1) * (2 ** 89 - 1))

@@ -15,7 +15,16 @@ import pytest
 
 import tevdeg
 
-from tevdeg import TargetKind, TargetParseError, cli, closed_forms
+from tevdeg import (
+    TargetKind,
+    TargetParseError,
+    TargetSpec,
+    TevError,
+    cli,
+    closed_forms,
+    make_problem,
+    tev_p1_binomial,
+)
 from tevdeg.closed_forms import vtev_projective
 from tevdeg.cli import main, parse_target, run_tev_p1, run_vtev
 
@@ -173,6 +182,21 @@ def test_qh_check_per_case(capsys):
     assert all(r["outputs"]["agree"] == "true" for r in records[:-1])
 
 
+def test_qh_check_asks_only_about_integral_degrees(monkeypatch):
+    asked = []
+
+    def recording_make_problem(target, g, d):
+        asked.append((g, d))
+        return make_problem(target, g, d)
+
+    monkeypatch.setattr(cli, "make_problem", recording_make_problem)
+    *_, summary = cli.run_qh_check(3, 5, 13)
+    # over P^3 only d = 3, 6, 9, 12 have an integral marking count
+    assert asked == [(g, d) for g in range(6) for d in (3, 6, 9, 12)]
+    assert summary.outputs["mismatches"] == "0"
+    assert int(summary.outputs["cases"]) > 0
+
+
 def test_certify_record(capsys):
     code, out = _run(capsys, ["certify", "--target", "p:1", "--g", "3", "--d", "3", "--json"])
     assert code == 0
@@ -250,7 +274,9 @@ def test_sweep_workers_below_one_rejected(capsys):
         assert "--workers must be >= 1" in capsys.readouterr().err
 
 
-def test_sweep_workers_capped_at_cell_count(capsys, monkeypatch):
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """The `max_workers` of every process pool a sweep constructs."""
     sizes = []
 
     class RecordingPool(concurrent.futures.ProcessPoolExecutor):
@@ -260,14 +286,87 @@ def test_sweep_workers_capped_at_cell_count(capsys, monkeypatch):
 
     # `_sweep` imports the pool class when it needs one
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    return sizes
+
+
+def test_sweep_workers_capped_at_cell_count(capsys, pool_sizes):
     argv = ["tev-p1", "--sweep", "--g-max", "0", "--d-max", "2",
             "--method", "both", "--json"]
     code, serial = _run(capsys, argv)
-    assert code == 0 and sizes == []
+    assert code == 0 and pool_sizes == []
     code, pooled = _run(capsys, argv + ["--workers", "3"])
     assert code == 0
-    assert sizes == [2]
+    assert pool_sizes == [2]
     assert pooled == serial
+
+
+# On P^2 the pool rule's proxy max(g_max, d_max) * r * e is 2 * g_max
+# here, so these two genera sit on either side of cli.POOL_MIN_SIZE.
+_EDGE_G = cli.POOL_MIN_SIZE // 2
+
+
+def _p2_edge_sweep(g):
+    d = 2 * g // 3
+    return ["vtev", "--target", "p:2", "--sweep", "--g-min", str(g),
+            "--g-max", str(g), "--d-min", str(d), "--d-max", str(d + 3)]
+
+
+# The cubic threefold's values outgrow max(g, d) * r: its proxy is
+# max(g, d) * 3 * 3, which reaches POOL_MIN_SIZE at this degree.
+_CUBIC_D = -(-cli.POOL_MIN_SIZE // 9)
+_CUBIC_SWEEP = ["vtev", "--target", "hyp:3:3", "--sweep", "--g-min", "1",
+                "--g-max", "2", "--d-min", str(_CUBIC_D), "--d-max", str(_CUBIC_D)]
+
+
+@pytest.mark.parametrize(
+    "argv, pooled",
+    [
+        (["vtev", "--target", "p:2"], False),
+        (["vtev", "--target", "hyp:3:7"], False),
+        (["certify", "--target", "quadric:5"], False),
+        (["certify", "--target", "p:1"], False),
+        (["certify", "--target", "nope:1"], False),
+        (["tev-p1", "--method", "binomial"], False),
+        (["tev-p1", "--method", "schubert"], True),
+        (["tev-p1", "--method", "both"], True),
+        (_p2_edge_sweep(_EDGE_G - 1), False),
+        (_p2_edge_sweep(_EDGE_G), True),
+        (_CUBIC_SWEEP, True),
+    ],
+)
+def test_workers_pool_only_sweeps_that_pay(capsys, pool_sizes, argv, pooled):
+    if "--sweep" not in argv:
+        argv = argv + ["--sweep", "--g-max", "4", "--d-max", "6"]
+    code, serial = _run(capsys, argv + ["--json"])
+    assert code == 0 and pool_sizes == []
+    code, out = _run(capsys, argv + ["--json", "--workers", "2"])
+    assert code == 0
+    assert pool_sizes == ([2] if pooled else [])
+    assert out == serial
+
+
+def test_size_proxy_bounds_every_closed_form_value():
+    # the pool rule relies on this: a grid with a small proxy holds
+    # only small, cheap values
+    targets = (
+        [TargetSpec.projective_space(r) for r in range(1, 9)]
+        + [TargetSpec.quadric(r) for r in range(3, 9)]
+        + [TargetSpec.hypersurface(e, r)
+           for e in range(3, 8) for r in range(2 * e - 3, 2 * e + 3)]
+    )
+    for target in targets:
+        for g in range(0, 41, 5):
+            for d in range(1, 121, 3):
+                try:
+                    value = closed_forms.vtev(make_problem(target, g, d)).value
+                except TevError:
+                    continue
+                proxy = cli._size_proxy(target.r, target.e, g, d)
+                assert value.bit_length() <= proxy + 1, (target, g, d)
+    for g in range(0, 41):
+        for d in range((g + 3) // 2, 61):  # the least d with 2d - 2 - g >= 0
+            proxy = cli._size_proxy(1, 1, g, d)
+            assert tev_p1_binomial(g, d).bit_length() <= proxy + 1, (g, d)
 
 
 def test_out_writes_file(tmp_path, capsys):
@@ -403,20 +502,24 @@ _IMPORT_PROBE = """
 import contextlib, io, sys
 from tevdeg import cli
 
-HEAVY = ("concurrent.futures.process", "multiprocessing", "fractions")
+HEAVY = ("concurrent.futures.process", "multiprocessing", "fractions", "random")
 
 def loaded():
     return ",".join(m for m in HEAVY if m in sys.modules) or "-"
 
+def run(argv):
+    with contextlib.redirect_stdout(io.StringIO()):
+        cli.main(argv)
+    print(loaded())
+
 print(loaded())
 # p:2 at d = 1 is a NonIntegerN cell, so the message path runs too
 sweep = ["vtev", "--target", "p:2", "--sweep", "--g-max", "2", "--d-max", "3"]
-with contextlib.redirect_stdout(io.StringIO()):
-    cli.main(sweep)
-print(loaded())
-with contextlib.redirect_stdout(io.StringIO()):
-    cli.main(sweep + ["--workers", "2"])
-print(loaded())
+run(sweep)
+# a small closed-form sweep stays in this process whatever --workers allows
+run(sweep + ["--workers", "2"])
+run(["tev-p1", "--method", "both", "--sweep", "--g-max", "2", "--d-max", "3",
+     "--workers", "2"])
 """
 
 
@@ -426,14 +529,19 @@ def test_pool_and_fractions_load_only_when_used():
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p
     )
+    # -S: a .pth file in site-packages may import modules (random among
+    # them) at start-up; the probe is about what tevdeg itself imports
     run = subprocess.run(
-        [sys.executable, "-c", _IMPORT_PROBE],
+        [sys.executable, "-S", "-c", _IMPORT_PROBE],
         env=env, capture_output=True, text=True, timeout=60, check=True,
     )
-    after_import, after_serial, after_pooled = run.stdout.split()
+    after_import, after_serial, after_closed_form, after_schubert = (
+        run.stdout.split()
+    )
     assert after_import == "-"
     assert after_serial == "-"
-    pooled = after_pooled.split(",")
+    assert after_closed_form == "-"
+    pooled = after_schubert.split(",")
     assert "concurrent.futures.process" in pooled
     assert "multiprocessing" in pooled
 
@@ -486,13 +594,15 @@ def test_vtev_point_beyond_4300_digits(capsys):
 
 
 @pytest.mark.parametrize("workers", [[], ["--workers", "2"]])
-def test_sweep_across_4300_digits(capsys, workers):
+def test_sweep_across_4300_digits(capsys, pool_sizes, workers):
     code, out = _run(
         capsys,
         ["vtev", "--target", "p:2", "--sweep", "--g-min", "9009", "--g-max",
          "9020", "--d-min", "6700", "--d-max", "6700", "--json", *workers],
     )
     assert code == 0
+    # values this large are worth a pool when --workers allows one
+    assert pool_sizes == ([2] if workers else [])
     records = _json_records(out)
     assert [int(r["inputs"]["g"]) for r in records] == list(range(9009, 9021))
     values = [r["outputs"]["value"] for r in records]
@@ -507,8 +617,11 @@ def test_spawned_workers_lift_the_digit_limit(capsys, monkeypatch):
     # each worker from a fresh interpreter with the default limit
     import multiprocessing
 
+    built = []
+
     class SpawnPool(concurrent.futures.ProcessPoolExecutor):
         def __init__(self, max_workers=None, **kwargs):
+            built.append(max_workers)
             kwargs["mp_context"] = multiprocessing.get_context("spawn")
             super().__init__(max_workers, **kwargs)
 
@@ -519,6 +632,7 @@ def test_spawned_workers_lift_the_digit_limit(capsys, monkeypatch):
          "9013", "--d-min", "6700", "--d-max", "6700", "--workers", "2", "--json"],
     )
     assert code == 0
+    assert built == [2]  # the cells really ran in spawned workers
     values = [r["outputs"]["value"] for r in _json_records(out)]
     assert [len(v) for v in values] == [4300, 4301]
     assert _round_trips(values[1], 3 ** 9013)

@@ -22,6 +22,7 @@ from tevdeg import (
     make_problem,
     marking_count,
 )
+from tevdeg.targets import degree_step
 
 
 def test_c1_pairing_examples():
@@ -153,6 +154,24 @@ def test_integer_gate_matches_rational_gate():
                     kinds.add("ok")
     # every branch of the gate was exercised
     assert kinds == {"ok", "NonIntegerN", "NegativeN", "UnstableRange"}
+
+
+def test_degree_step_marks_exactly_the_integral_degrees():
+    # custom:6:4 has gcd(I, r) = 2, strictly between 1 and r
+    targets = [*GATE_TARGETS, TargetSpec.custom(6, 4)]
+    assert [degree_step(t) for t in targets] == [*range(1, 9), 7, 1, 5, 3]
+    for target in targets:
+        step = degree_step(target)
+        for g in range(0, 31):
+            for d in range(1, 61):
+                try:
+                    make_problem(target, g, d)
+                    fractional = False
+                except NonIntegerN:
+                    fractional = True
+                except (NegativeN, UnstableRange):
+                    fractional = False
+                assert fractional == (d % step != 0), (target, g, d)
 
 
 def test_domain_errors_are_tev_errors():
