@@ -163,6 +163,29 @@ def transversality_threshold(g: int) -> int:
     return 2 * g
 
 
+# One constructor per criterion inequality. The certifiers, the
+# very-free search and the public `check_*` predicates all build their
+# checks here, so each inequality is written once.
+
+
+def _boundary_check(s: int, t: int, r: int) -> Check:
+    return _check("s + t >= r + 1", s + t, ">=", r + 1)
+
+
+def _complete_intersection_check(index: int, s: int, r: int, degrees) -> Check:
+    return _check(
+        "I > (r - s) * sum(degrees)", index, ">", (r - s) * sum(degrees)
+    )
+
+
+def _genus0_hypersurface_check(e: int, r: int) -> Check:
+    return _check("r > (e+2)(e-2)", r, ">", (e + 2) * (e - 2))
+
+
+def _asymptotic_hypersurface_check(e: int, r: int) -> Check:
+    return _check("r > (e+1)(e-2)", r, ">", (e + 1) * (e - 2))
+
+
 def check_condition_ii(s: int, t: int, r: int) -> bool:
     """Boundary-node condition s + t >= r + 1.
 
@@ -173,7 +196,7 @@ def check_condition_ii(s: int, t: int, r: int) -> bool:
         raise DomainError(f"need s >= t >= 1, got s={s}, t={t}")
     if r < 1:
         raise DomainError(f"need r >= 1, got {r}")
-    return s + t >= r + 1
+    return _boundary_check(s, t, r).holds
 
 
 def check_complete_intersection(index: int, s: int, r: int, degrees) -> bool:
@@ -186,14 +209,14 @@ def check_complete_intersection(index: int, s: int, r: int, degrees) -> bool:
     degrees = tuple(degrees)
     if any(e_i < 1 for e_i in degrees):
         raise ValueError(f"degrees must be >= 1, got {degrees}")
-    return index > (r - s) * sum(degrees)
+    return _complete_intersection_check(index, s, r, degrees).holds
 
 
 def check_star2_prime0_hypersurface(e: int, r: int) -> bool:
     """Genus-0 criterion r > (e+2)(e-2) for degree-e hypersurfaces."""
     if e < 3:
         raise ValueError(f"criterion needs e >= 3, got {e}")
-    return r > (e + 2) * (e - 2)
+    return _genus0_hypersurface_check(e, r).holds
 
 
 def _try_vtev(problem: TevProblem) -> int | None:
@@ -258,64 +281,30 @@ def _certify_line(problem: TevProblem) -> Certificate:
 def _certify_projective(problem: TevProblem) -> Certificate:
     r, g, d = problem.target.r, problem.g, problem.d
     threshold = _check("d >= r(g + 1)", d, ">=", r * (g + 1))
-    virtual = _try_vtev(problem)
+    checks: tuple[Check, ...] = (threshold,)
+    minimal_degree = r + g * r // (r + 1)
     if threshold.holds:
-        return Certificate(
-            status=Status.ENUMERATIVE,
-            cited_result=CITE_PR_THRESHOLD,
-            checks=(threshold,),
-            vtev_value=virtual,
-        )
-    if g > 0 and (g * r) % (r + 1) == 0 and d == r + g * r // (r + 1):
-        minimal = _check(
-            "d == r + gr/(r+1)", d, "==", r + g * r // (r + 1)
-        )
-        return Certificate(
-            status=Status.NOT_ENUMERATIVE,
-            cited_result=CITE_PR_CASTELNUOVO,
-            checks=(threshold, minimal),
-            vtev_value=virtual,
-        )
-    return Certificate(
-        status=Status.UNKNOWN,
-        cited_result=CITE_NONE,
-        checks=(threshold,),
-        vtev_value=virtual,
-    )
+        status, cited = Status.ENUMERATIVE, CITE_PR_THRESHOLD
+    elif g > 0 and (g * r) % (r + 1) == 0 and d == minimal_degree:
+        checks += (_check("d == r + gr/(r+1)", d, "==", minimal_degree),)
+        status, cited = Status.NOT_ENUMERATIVE, CITE_PR_CASTELNUOVO
+    else:
+        status, cited = Status.UNKNOWN, CITE_NONE
+    return Certificate(status, cited, checks, vtev_value=_try_vtev(problem))
 
 
 def _certify_hypersurface(problem: TevProblem) -> Certificate:
-    e, r, g = problem.target.e, problem.target.r, problem.g
-    virtual = _try_vtev(problem)
-    if g == 0:
-        bound = _check("r > (e+2)(e-2)", r, ">", (e + 2) * (e - 2))
-        if bound.holds:
-            return Certificate(
-                status=Status.ENUMERATIVE,
-                cited_result=CITE_HYP_GENUS0,
-                checks=(bound,),
-                vtev_value=virtual,
-            )
-        return Certificate(
-            status=Status.UNKNOWN,
-            cited_result=CITE_NONE,
-            checks=(bound,),
-            vtev_value=virtual,
-        )
-    bound = _check("r > (e+1)(e-2)", r, ">", (e + 1) * (e - 2))
-    if bound.holds:
-        return Certificate(
-            status=Status.ASYMPTOTICALLY_ENUMERATIVE,
-            cited_result=CITE_HYP_ASYMPTOTIC,
-            checks=(bound,),
-            vtev_value=virtual,
-        )
-    return Certificate(
-        status=Status.UNKNOWN,
-        cited_result=CITE_NONE,
-        checks=(bound,),
-        vtev_value=virtual,
-    )
+    e, r = problem.target.e, problem.target.r
+    if problem.g == 0:
+        bound = _genus0_hypersurface_check(e, r)
+        status, cited = Status.ENUMERATIVE, CITE_HYP_GENUS0
+    else:
+        bound = _asymptotic_hypersurface_check(e, r)
+        status = Status.ASYMPTOTICALLY_ENUMERATIVE
+        cited = CITE_HYP_ASYMPTOTIC
+    if not bound.holds:
+        status, cited = Status.UNKNOWN, CITE_NONE
+    return Certificate(status, cited, (bound,), vtev_value=_try_vtev(problem))
 
 
 def _certify_homogeneous(problem: TevProblem) -> Certificate:
@@ -331,35 +320,21 @@ def _certify_custom(problem: TevProblem) -> Certificate:
     target = problem.target
     s, t, r = target.s_bound, target.t_bound, target.r
     if s is None or t is None:
-        return Certificate(
-            status=Status.UNKNOWN,
-            cited_result=CITE_NONE,
-            checks=(),
-        )
-    boundary = _check("s + t >= r + 1", s + t, ">=", r + 1)
+        return Certificate(Status.UNKNOWN, CITE_NONE, ())
+    boundary = _boundary_check(s, t, r)
     excess = _check("s > r", s, ">", r)
     checks = [boundary, excess]
     controlled = excess.holds
     if not controlled and target.ci_degrees:
-        ci = _check(
-            "I > (r - s) * sum(degrees)",
-            target.index,
-            ">",
-            (r - s) * sum(target.ci_degrees),
-        )
+        ci = _complete_intersection_check(target.index, s, r, target.ci_degrees)
         checks.append(ci)
         controlled = ci.holds
     if boundary.holds and controlled:
-        return Certificate(
-            status=Status.ASYMPTOTICALLY_ENUMERATIVE,
-            cited_result=CITE_GENERAL_ASYMPTOTIC,
-            checks=tuple(checks),
-        )
-    return Certificate(
-        status=Status.UNKNOWN,
-        cited_result=CITE_NONE,
-        checks=tuple(checks),
-    )
+        status = Status.ASYMPTOTICALLY_ENUMERATIVE
+        cited = CITE_GENERAL_ASYMPTOTIC
+    else:
+        status, cited = Status.UNKNOWN, CITE_NONE
+    return Certificate(status, cited, tuple(checks))
 
 
 def very_free_search(e: int, r: int, p: int, n_limit: int | None = None) -> VeryFreeReport:
@@ -405,10 +380,7 @@ def very_free_search(e: int, r: int, p: int, n_limit: int | None = None) -> Very
     n, d = solution
     valuation = n * legendre_valuation(e - 1, p)
     valuation += ((d - n) * e + 1) * padic_valuation(e, p)
-    conditions = (
-        _check("r > (e+2)(e-2)", r, ">", (e + 2) * (e - 2)),
-        _check("p > e", p, ">", e),
-    )
+    conditions = (_genus0_hypersurface_check(e, r), _check("p > e", p, ">", e))
     conclusion = all(c.holds for c in conditions) and valuation == 0
     return VeryFreeReport(
         e=e,

@@ -30,7 +30,9 @@ faster.
 Exit codes: 0 ok, 2 parse or usage error (an empty sweep or qh-check
 grid is one, and so is mixing point flags `--g`/`--d` with grid flags
 `--sweep`/`--g-max`/`--d-max`/`--g-min`/`--d-min`/`--workers`), 3
-well-posedness error, 4 hypothesis or formula-domain violation.
+well-posedness error, 4 hypothesis or formula-domain violation. A
+failed record's code is the `exit_code` of its error class, defined
+once in `errors`.
 Sweeps exit 0 as long as the sweep itself runs; per-cell failures are
 encoded in the records.
 """
@@ -43,7 +45,14 @@ import sys
 from dataclasses import dataclass, field
 from functools import partial
 
-from .certify import Certificate, certify_target, very_free_search
+from . import errors
+from .certify import (
+    CITE_VERY_FREE,
+    Certificate,
+    Check,
+    certify_target,
+    very_free_search,
+)
 from .closed_forms import vtev
 from .errors import TargetParseError, TevError, WellPosednessError
 from .quantum import PowerTable, tqft_vtev
@@ -237,14 +246,18 @@ def run_qh_check(
     return records
 
 
+def _format_check(check: Check) -> str:
+    verdict = "holds" if check.holds else "fails"
+    return (
+        f"{check.description}: {check.left} {check.relation} "
+        f"{check.right}: {verdict}"
+    )
+
+
 def _certificate_outputs(cert: Certificate) -> dict[str, str]:
     outputs = {"status": cert.status.value, "cited": cert.cited_result}
     for i, check in enumerate(cert.checks, start=1):
-        verdict = "holds" if check.holds else "fails"
-        outputs[f"check_{i}"] = (
-            f"{check.description}: {check.left} {check.relation} "
-            f"{check.right}: {verdict}"
-        )
+        outputs[f"check_{i}"] = _format_check(check)
     if cert.vtev_value is not None:
         outputs["vtev"] = str(cert.vtev_value)
     if cert.geometric_value is not None:
@@ -280,14 +293,8 @@ def run_very_free(e: int, r: int, p: int) -> RunRecord:
         "conclusion": _bool(report.conclusion),
     }
     for i, check in enumerate(report.conditions, start=1):
-        verdict = "holds" if check.holds else "fails"
-        record.outputs[f"condition_{i}"] = (
-            f"{check.description}: {check.left} {check.relation} "
-            f"{check.right}: {verdict}"
-        )
-    record.citations = [
-        "very free rational curves from a p-indivisible genus-0 count"
-    ]
+        record.outputs[f"condition_{i}"] = _format_check(check)
+    record.citations = [CITE_VERY_FREE]
     return record
 
 
@@ -479,25 +486,15 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_EXIT_PARSE = 2
-_EXIT_WELL_POSEDNESS = 3
-_EXIT_HYPOTHESIS = 4
-
-_PARSE_KINDS = {"TargetParseError", "InvalidTarget"}
-_WELL_POSEDNESS_KINDS = {"NonFano", "NonIntegerN", "NegativeN", "UnstableRange"}
-
-
 def _exit_code(records: list[RunRecord], swept: bool) -> int:
+    """0 unless a single record failed; then the `exit_code` of the
+    error class its `error_kind` names."""
     if swept or len(records) != 1:
         return 0
     record = records[0]
     if record.status == "ok":
         return 0
-    if record.error_kind in _PARSE_KINDS:
-        return _EXIT_PARSE
-    if record.error_kind in _WELL_POSEDNESS_KINDS:
-        return _EXIT_WELL_POSEDNESS
-    return _EXIT_HYPOTHESIS
+    return getattr(errors, record.error_kind).exit_code
 
 
 def _require_point(parser: argparse.ArgumentParser, args) -> None:

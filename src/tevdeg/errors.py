@@ -1,8 +1,9 @@
 """Exception taxonomy for the Tevelev degree library.
 
 The CLI maps these onto structured error records and process exit
-codes: target-description problems exit 2, well-posedness failures
-exit 3, and formula-domain or hypothesis failures exit 4.
+codes. The mapping lives in each class's `exit_code`: target
+descriptions exit 2, well-posedness failures 3, and every other error,
+such as a formula-domain or hypothesis failure, inherits 4.
 """
 
 from __future__ import annotations
@@ -32,6 +33,8 @@ __all__ = [
 class TevError(Exception):
     """Base class for every domain error raised by this package."""
 
+    exit_code = 4
+
     @property
     def kind(self) -> str:
         """Stable machine-readable tag (the class name)."""
@@ -41,13 +44,19 @@ class TevError(Exception):
 class TargetParseError(TevError):
     """The target description string does not match the grammar."""
 
+    exit_code = 2
+
 
 class InvalidTarget(TevError):
     """A well-formed description that names an unsupported target."""
 
+    exit_code = 2
+
 
 class WellPosednessError(TevError):
     """The (target, genus, degree) triple admits no well-posed count."""
+
+    exit_code = 3
 
 
 class NonFano(WellPosednessError):

@@ -118,11 +118,6 @@ class QElement:
             and self.coeffs == other.coeffs
         )
 
-    def __hash__(self):
-        return hash(
-            (self.r, tuple(frozenset(slot.items()) for slot in self.coeffs))
-        )
-
     def __add__(self, other: "QElement") -> "QElement":
         if not isinstance(other, QElement):
             return NotImplemented
@@ -141,20 +136,6 @@ class QElement:
 
     def is_zero(self) -> bool:
         return all(not slot for slot in self.coeffs)
-
-    def homogeneous_degree(self) -> int | None:
-        """Common degree of all monomials (deg h = 1, deg q = r + 1).
-
-        None when the element is zero or inhomogeneous.
-        """
-        degrees = {
-            i + qe * (self.r + 1)
-            for i, slot in enumerate(self.coeffs)
-            for qe in slot
-        }
-        if len(degrees) != 1:
-            return None
-        return degrees.pop()
 
     def __repr__(self) -> str:
         parts = []

@@ -85,9 +85,6 @@ class SchubertCombo:
             and self.terms == other.terms
         )
 
-    def __hash__(self):
-        return hash((self.m, frozenset(self.terms.items())))
-
     def _require_same_space(self, other: "SchubertCombo") -> None:
         if self.m != other.m:
             raise ValueError(
@@ -103,27 +100,8 @@ class SchubertCombo:
             out[key] = out.get(key, 0) + mult
         return SchubertCombo(self.m, out)
 
-    def __sub__(self, other: "SchubertCombo") -> "SchubertCombo":
-        if not isinstance(other, SchubertCombo):
-            return NotImplemented
-        return self + (-1) * other
-
-    def __rmul__(self, scalar: int) -> "SchubertCombo":
-        if not isinstance(scalar, int):
-            return NotImplemented
-        return SchubertCombo(
-            self.m, {key: scalar * mult for key, mult in self.terms.items()}
-        )
-
     def is_zero(self) -> bool:
         return not self.terms
-
-    def degree(self) -> int | None:
-        """Common codimension a + b of all terms, None if mixed or zero."""
-        degrees = {a + b for (a, b) in self.terms}
-        if len(degrees) != 1:
-            return None
-        return degrees.pop()
 
     def __repr__(self) -> str:
         if not self.terms:

@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from math import gcd
+from numbers import Rational
 
 from .errors import (
     DomainError,
@@ -245,12 +246,15 @@ def _check_genus(g: int) -> None:
         raise DomainError(f"genus must be >= 0, got {g}")
 
 
-def marking_count(target: TargetSpec, g: int, d: int) -> Fraction:
-    """The forced marking count 1 - g + d*I/r, as an exact rational.
+def marking_count(target: TargetSpec, g: int, d: int) -> Rational:
+    """The forced marking count 1 - g + d*I/r, as an exact rational
+    (a `Fraction`).
 
     Integrality is not enforced here; `make_problem` does that.
     """
-    from fractions import Fraction  # kept off the CLI's import path
+    # kept off the CLI's import path, so the annotation names the
+    # `numbers` base class, which resolves at run time
+    from fractions import Fraction
 
     _check_genus(g)
     return 1 - g + Fraction(c1_pairing(target, d), target.r)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 from tevdeg import (
@@ -21,6 +23,7 @@ from tevdeg import (
     transversality_threshold,
     very_free_search,
 )
+from tevdeg.cli import main
 
 
 def _status(target, g, d):
@@ -237,3 +240,35 @@ def test_very_free_input_validation():
 def test_very_free_search_bound_exhaustion():
     with pytest.raises(NoSolution):
         very_free_search(3, 8, 5, n_limit=7)
+
+
+# Every certifier branch: the line on both sides of its formula domain,
+# P^r at and off the minimal classical degree, hypersurfaces on both
+# sides of both bounds (and below the closed form's range), quadrics,
+# homogeneous targets, and custom targets with no bounds, a failing
+# boundary, s > r, and both outcomes of the complete-intersection test.
+PINNED_TARGETS = (
+    "p:1 p:2 p:3 p:4 hyp:3:5 hyp:3:8 hyp:4:9 hyp:4:13 hyp:5:6 hyp:3:2 "
+    "quadric:3 quadric:6 gp:4:3 gp:6:5:4:3 custom:4:3 custom:3:4:4:4 "
+    "custom:7:6:6:6:3 custom:9:7:7:7:4 custom:5:2:3:3:2,3 custom:5:2:1:1"
+).split()
+# sha256 of the 12 090 JSON records below, recorded before the
+# certifier's inequalities were each written once
+PINNED_SHA256 = "97f0042e6f1da90f7d4f9bf6dc0ea5be89f303de53fad3e88b321ee568b4ba6d"
+
+
+def test_certificate_and_very_free_records_are_pinned(capsys):
+    chunks = []
+    for target in PINNED_TARGETS:
+        main(["certify", "--target", target, "--sweep",
+              "--g-max", "14", "--d-max", "40", "--json"])
+        chunks.append(capsys.readouterr().out)
+    for e in (3, 4, 5):
+        for r in (2, 3, 5, 8, 13, 22):
+            for p in (2, 3, 5, 7, 101):
+                main(["very-free", "--e", str(e), "--r", str(r),
+                      "--p", str(p), "--json"])
+                chunks.append(capsys.readouterr().out)
+    data = "".join(chunks).encode()
+    assert data.count(b"\n") == 12090
+    assert hashlib.sha256(data).hexdigest() == PINNED_SHA256

@@ -421,6 +421,7 @@ def test_missing_point_flags_exit_2(capsys):
         (["vtev", "--target", "p:2", "--g", "1", "--d", "0"], 4, "DomainError"),
         (["certify", "--target", "p:2", "--g", "-1", "--d", "3"], 4, "DomainError"),
         (["very-free", "--e", "3", "--r", "0", "--p", "5"], 4, "DomainError"),
+        (["vtev", "--target", "quadric:3", "--g", "0", "--d", "1"], 3, "UnstableRange"),
     ],
 )
 def test_exit_code_per_error_kind(capsys, argv, code, kind):
@@ -680,3 +681,24 @@ def test_readme_lists_the_sweep_only_flags_as_usage_errors():
     usage = usage[:usage.index("\n\n")]
     for flag in ("--g-min", "--d-min", "--workers"):
         assert flag in usage, flag
+
+
+EXIT_CODES = {
+    "TargetParseError": 2,
+    "InvalidTarget": 2,
+    "WellPosednessError": 3,
+    "NonFano": 3,
+    "NonIntegerN": 3,
+    "NegativeN": 3,
+    "UnstableRange": 3,
+}
+
+
+@pytest.mark.parametrize("name", tevdeg.errors.__all__)
+def test_every_error_class_has_its_exit_code(name):
+    cls = getattr(tevdeg.errors, name)
+    assert cls.exit_code == EXIT_CODES.get(name, 4)
+    # a single failed record exits with its error class's code
+    record = cli._fail(cli.RunRecord("vtev", {}), cls("message"))
+    assert cli._exit_code([record], swept=False) == cls.exit_code
+    assert cli._exit_code([record], swept=True) == 0

@@ -194,6 +194,16 @@ def _random_homogeneous(rng, r, degree):
     return QElement(r, coeffs)
 
 
+def _degrees(element):
+    """The set of degrees of the element's monomials (deg h = 1,
+    deg q = r + 1)."""
+    return {
+        i + qe * (element.r + 1)
+        for i, slot in enumerate(element.coeffs)
+        for qe in slot
+    }
+
+
 def test_products_of_homogeneous_elements_are_homogeneous():
     # deg h = 1 and deg q = r + 1
     rng = random.Random(77)
@@ -203,10 +213,10 @@ def test_products_of_homogeneous_elements_are_homogeneous():
         db = rng.randrange(0, 3 * (r + 1))
         a = _random_homogeneous(rng, r, da)
         b = _random_homogeneous(rng, r, db)
-        assert a.homogeneous_degree() == da
+        assert _degrees(a) == {da}
         product = q_mul(a, b)
         assert not product.is_zero()
-        assert product.homogeneous_degree() == da + db
+        assert _degrees(product) == {da + db}
 
 
 def test_handle_element_shape():

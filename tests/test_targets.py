@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import inspect
+import typing
 from fractions import Fraction
 
 import pytest
 
+import tevdeg
 from tevdeg import (
     DomainError,
     InvalidTarget,
@@ -256,3 +259,29 @@ def test_custom_records_ci_degrees():
 def test_describe_is_human_readable():
     assert "P^3" in TargetSpec.projective_space(3).describe()
     assert "hypersurface" in TargetSpec.hypersurface(4, 9).describe()
+
+
+def _public_callables():
+    for name in dir(tevdeg):
+        obj = getattr(tevdeg, name)
+        if name.startswith("_") or not callable(obj):
+            continue
+        yield name, obj
+        if inspect.isclass(obj):
+            for attr, member in vars(obj).items():
+                if isinstance(member, (classmethod, staticmethod)):
+                    member = member.__func__
+                elif isinstance(member, property):
+                    member = member.fget
+                if not attr.startswith("_") and inspect.isfunction(member):
+                    yield f"{name}.{attr}", member
+
+
+PUBLIC_CALLABLES = dict(_public_callables())
+
+
+@pytest.mark.parametrize("name", sorted(PUBLIC_CALLABLES))
+def test_type_hints_resolve(name):
+    # every annotation names something bound at run time, although the
+    # modules write them as strings (from __future__ import annotations)
+    typing.get_type_hints(PUBLIC_CALLABLES[name])
