@@ -208,14 +208,14 @@ def check_complete_intersection(index: int, s: int, r: int, degrees) -> bool:
     """
     degrees = tuple(degrees)
     if any(e_i < 1 for e_i in degrees):
-        raise ValueError(f"degrees must be >= 1, got {degrees}")
+        raise DomainError(f"degrees must be >= 1, got {degrees}")
     return _complete_intersection_check(index, s, r, degrees).holds
 
 
 def check_star2_prime0_hypersurface(e: int, r: int) -> bool:
     """Genus-0 criterion r > (e+2)(e-2) for degree-e hypersurfaces."""
     if e < 3:
-        raise ValueError(f"criterion needs e >= 3, got {e}")
+        raise HypothesisViolation(f"criterion needs e >= 3, got {e}")
     return _genus0_hypersurface_check(e, r).holds
 
 

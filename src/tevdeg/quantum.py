@@ -46,7 +46,7 @@ __all__ = ["PowerTable", "QElement", "handle_element", "q_mul", "tqft_vtev"]
 
 def _check_rank(r: int) -> None:
     if r < 1:
-        raise ValueError(f"ambient projective space needs r >= 1, got {r}")
+        raise DomainError(f"ambient projective space needs r >= 1, got {r}")
 
 
 def _nonzero(slots) -> tuple:
@@ -72,14 +72,14 @@ class QElement:
         if coeffs is None:
             coeffs = [{} for _ in range(r + 1)]
         if len(coeffs) != r + 1:
-            raise ValueError(f"expected {r + 1} coefficient slots, got {len(coeffs)}")
+            raise DomainError(f"expected {r + 1} coefficient slots, got {len(coeffs)}")
         self.r = r
         self.coeffs = tuple(
             {int(qe): int(c) for qe, c in slot.items() if c} for slot in coeffs
         )
         for slot in self.coeffs:
             if any(qe < 0 for qe in slot):
-                raise ValueError("negative q-exponents are not allowed")
+                raise DomainError("negative q-exponents are not allowed")
 
     @classmethod
     def _trusted(cls, r: int, coeffs: tuple) -> "QElement":
@@ -104,9 +104,9 @@ class QElement:
         """The basis monomial q^q_exp * h^i with 0 <= i <= r."""
         _check_rank(r)
         if not 0 <= i <= r:
-            raise ValueError(f"h-power must satisfy 0 <= i <= r, got {i}")
+            raise DomainError(f"h-power must satisfy 0 <= i <= r, got {i}")
         if q_exp < 0:
-            raise ValueError("negative q-exponents are not allowed")
+            raise DomainError("negative q-exponents are not allowed")
         coeffs = [{} for _ in range(r + 1)]
         coeffs[i] = {q_exp: 1}
         return cls._trusted(r, tuple(coeffs))

@@ -16,7 +16,9 @@ moduli spaces"). This module evaluates both of their expressions:
 
     tev_p1_schubert  - the integral over Gr(2, d+1) of sigma_1^g times
                        the sum of sigma_a * sigma_b over all ordered
-                       pairs a + b = 2d - 2 - g, evaluated by duality;
+                       pairs a + b = 2d - 2 - g, evaluated by duality
+                       from one Pieri product, since each pair's
+                       product is a prefix of the widest pair's;
     tev_p1_binomial  - the closed form 2^g minus binomial corrections
                        controlled by l = d - g - 1, which vanish
                        exactly when d >= g + 1.
@@ -29,8 +31,15 @@ even though such triples can be well-posed.
 
 from __future__ import annotations
 
+from operator import add
+
 from .arith import binom
-from .errors import DegreeUnderflow, LineDomainError, SpecialClassOutOfBox
+from .errors import (
+    DegreeUnderflow,
+    DomainError,
+    LineDomainError,
+    SpecialClassOutOfBox,
+)
 
 __all__ = [
     "SchubertCombo",
@@ -52,13 +61,13 @@ class SchubertCombo:
 
     def __init__(self, m: int, terms=None):
         if m < 2:
-            raise ValueError(f"Gr(2, m) needs m >= 2, got {m}")
+            raise DomainError(f"Gr(2, m) needs m >= 2, got {m}")
         self.m = m
         box = m - 2
         clean: dict[tuple[int, int], int] = {}
         for (a, b), mult in (terms or {}).items():
             if not box >= a >= b >= 0:
-                raise ValueError(
+                raise DomainError(
                     f"partition ({a}, {b}) outside the 2 x {box} box"
                 )
             if mult:
@@ -87,7 +96,7 @@ class SchubertCombo:
 
     def _require_same_space(self, other: "SchubertCombo") -> None:
         if self.m != other.m:
-            raise ValueError(
+            raise DomainError(
                 f"cannot combine classes on Gr(2, {self.m}) and Gr(2, {other.m})"
             )
 
@@ -160,37 +169,49 @@ def tev_p1_schubert(g: int, d: int) -> int:
     multiplicity of sigma_(box-y, box-x) in sigma_1^g, so the count is
     S's multiplicities weighted by those of sigma_1^g. sigma_1^g is
     built as a list of plain integers by g steps of the sigma_1 Pieri
-    rule; S comes from `pieri_special` on basis classes, one product
-    per unordered pair. Each call does O(g^2 + d^2) integer
-    operations and keeps nothing between calls.
+    rule.
+
+    S needs one Pieri product per call. For a <= b the two-row rule
+    gives sigma_a * sigma_b = sum of sigma_(w-y, y) over
+    max(0, w - box) <= y <= a, each with multiplicity 1. The lower
+    bound does not depend on a, so the products are nested: each is
+    the y <= a prefix of the widest one, a = w // 2, and a running
+    sum over y pairs every unordered pair once (counted twice unless
+    a == b). Each call does O(g^2 + d) integer operations and keeps
+    nothing between calls.
     """
     _check_line_domain(g, d)
     m = d + 1
     box = m - 2
-    # power[y] is the multiplicity of sigma_(k-y, y) in sigma_1^k. The
-    # box is not imposed: sigma_1 never lowers the first row, so a class
-    # that leaves the box never re-enters it, and the pairing below
-    # reads only classes inside it.
+    power = _sigma1_power(g)
+    weight = 2 * d - 2 - g
+    half = weight // 2
+    terms = pieri_special(SchubertCombo.sigma(m, half), weight - half).terms
+    total = run = 0
+    for y in range(max(0, weight - box), half + 1):
+        # power[box - x] pairs sigma_(x, y) with x = weight - y
+        run += terms.get((weight - y, y), 0) * power[box - weight + y]
+        total += run if 2 * y == weight else 2 * run
+    return total
+
+
+def _sigma1_power(g: int) -> list:
+    """sigma_1^g as a list: entry y is the multiplicity of
+    sigma_(g-y, y).
+
+    The box is not imposed: sigma_1 never lowers the first row, so a
+    class that leaves the box never re-enters it, and the duality
+    pairing reads only classes inside it. One sigma_1 step sends
+    (x, y) to (x + 1, y), and to (x, y + 1) while y < x, so the step
+    from sigma_1^k gains a last entry y = (k + 1) // 2 only for odd k.
+    """
     power = [1]
     for k in range(g):
-        step = [0] * ((k + 1) // 2 + 1)
-        for y, mult in enumerate(power):
-            step[y] += mult  # (x, y) -> (x + 1, y)
-            if y < k - y:  # (x, y) -> (x, y + 1)
-                step[y + 1] += mult
+        step = [1, *map(add, power[1:], power)]
+        if k % 2:
+            step.append(power[-1])
         power = step
-    weight = 2 * d - 2 - g
-    total = 0
-    # sigma_a * sigma_b and sigma_b * sigma_a are one product: pair
-    # each a <= b once and count it twice unless a == b
-    for a in range(max(0, weight - box), weight // 2 + 1):
-        b = weight - a
-        product = pieri_special(SchubertCombo.sigma(m, a), b)
-        paired = sum(
-            mult * power[box - x] for (x, _), mult in product.terms.items()
-        )
-        total += paired if a == b else 2 * paired
-    return total
+    return power
 
 
 def tev_p1_binomial(g: int, d: int) -> int:

@@ -228,7 +228,7 @@ class TevProblem:
         lhs = self.d * self.target.index
         rhs = self.target.r * (self.n + self.g - 1)
         if lhs != rhs:
-            raise ValueError(
+            raise DomainError(
                 f"dimension constraint violated: d*I = {lhs} but "
                 f"r*(n+g-1) = {rhs}"
             )

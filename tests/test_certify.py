@@ -60,7 +60,8 @@ def test_star2_genus0_hypersurface_criterion():
     assert check_star2_prime0_hypersurface(3, 6) is True
     assert check_star2_prime0_hypersurface(3, 5) is False
     assert check_star2_prime0_hypersurface(4, 13) is True
-    with pytest.raises(ValueError):
+    # outside the criterion's hypothesis, as in very_free_search
+    with pytest.raises(HypothesisViolation):
         check_star2_prime0_hypersurface(2, 10)
 
 

@@ -21,6 +21,7 @@ from tevdeg import (
     tev_p1_binomial,
     tev_p1_schubert,
 )
+from tevdeg.schubert import _check_line_domain, _sigma1_power
 
 
 def _mult_partition(combo, a, b):
@@ -140,10 +141,77 @@ def _schubert_by_pieri(g, d):
     return integral(total)
 
 
+def _schubert_per_pair(g, d):
+    """The duality route with one Pieri product per unordered pair and
+    a per-term sigma_1 loop: a reference for tev_p1_schubert, which
+    reads every pair's product as a prefix of the widest one."""
+    _check_line_domain(g, d)
+    m = d + 1
+    box = m - 2
+    power = [1]
+    for k in range(g):
+        step = [0] * ((k + 1) // 2 + 1)
+        for y, mult in enumerate(power):
+            step[y] += mult
+            if y < k - y:
+                step[y + 1] += mult
+        power = step
+    weight = 2 * d - 2 - g
+    total = 0
+    for a in range(max(0, weight - box), weight // 2 + 1):
+        b = weight - a
+        product = pieri_special(SchubertCombo.sigma(m, a), b)
+        paired = sum(
+            mult * power[box - x] for (x, _), mult in product.terms.items()
+        )
+        total += paired if a == b else 2 * paired
+    return total
+
+
+def _value_or_error_kind(route, g, d):
+    try:
+        return route(g, d)
+    except Exception as exc:  # the kind is what is compared
+        return type(exc)
+
+
+def test_kernel_matches_per_pair_route():
+    for g in range(0, 61):
+        for d in range(1, 61):
+            assert _value_or_error_kind(tev_p1_schubert, g, d) == (
+                _value_or_error_kind(_schubert_per_pair, g, d)
+            ), (g, d)
+
+
+def test_pair_products_are_prefixes_of_the_widest():
+    for box in range(0, 41):
+        m = box + 2
+        for w in range(0, 2 * box + 1):
+            half = w // 2
+            widest = pieri_special(SchubertCombo.sigma(m, half), w - half)
+            for a in range(max(0, w - box), half + 1):
+                prefix = {
+                    key: mult for key, mult in widest.terms.items()
+                    if key[1] <= a
+                }
+                product = pieri_special(SchubertCombo.sigma(m, a), w - a)
+                assert product.terms == prefix, (box, w, a)
+
+
+def test_sigma1_power_list_matches_pieri_steps():
+    for g in range(0, 31):
+        # a box of width g truncates nothing in sigma_1^g
+        combo = SchubertCombo.sigma(g + 2, 0)
+        for _ in range(g):
+            combo = pieri_special(combo, 1)
+        expected = {(g - y, y): mult for y, mult in enumerate(_sigma1_power(g))}
+        assert combo.terms == expected, g
+
+
 def test_routes_agree_and_threshold_characterizes_2_to_g():
     # holds every cell of perfbench's line-oracle windows
-    for g in range(0, 45):
-        for d in range(1, 49):
+    for g in range(0, 101):
+        for d in range(1, 101):
             if 2 * d - 2 - g < 0:
                 continue
             binomial = tev_p1_binomial(g, d)

@@ -16,12 +16,16 @@ from tevdeg import (
     NegativeN,
     NonFano,
     NonIntegerN,
+    QElement,
+    SchubertCombo,
     TargetKind,
     TargetSpec,
     TevError,
     TevProblem,
     UnstableRange,
     c1_pairing,
+    check_complete_intersection,
+    check_star2_prime0_hypersurface,
     make_problem,
     marking_count,
 )
@@ -190,6 +194,30 @@ def test_domain_errors_are_tev_errors():
     assert issubclass(DomainError, ValueError)
     assert issubclass(LineDomainError, DomainError)
     assert LineDomainError("x").kind == "LineDomainError"
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: QElement(0),
+        lambda: QElement.zero(-1),
+        lambda: QElement(2, [{}, {}]),
+        lambda: QElement(2, [{}, {-1: 1}, {}]),
+        lambda: QElement.h_power(2, 3),
+        lambda: QElement.h_power(2, 1, q_exp=-1),
+        lambda: SchubertCombo(1),
+        lambda: SchubertCombo(4, {(3, 0): 1}),
+        lambda: SchubertCombo(4, {(1, 2): 1}),
+        lambda: SchubertCombo.sigma(4, 1) + SchubertCombo.sigma(5, 1),
+        lambda: TevProblem(TargetSpec.projective_space(1), 2, 3, 4),
+        lambda: check_complete_intersection(1, 1, 1, [0]),
+        lambda: check_star2_prime0_hypersurface(2, 10),
+    ],
+)
+def test_public_constructors_and_criteria_raise_tev_errors(call):
+    # a caller catching TevError, as the CLI does, catches every one
+    with pytest.raises(TevError):
+        call()
 
 
 def test_tev_problem_rejects_inconsistent_n():
