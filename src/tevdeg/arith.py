@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import math
 
+from .errors import DomainError
+
 __all__ = [
     "binom",
     "factorial",
@@ -32,7 +34,7 @@ def binom(n: int, k: int) -> int:
     line (see `schubert.tev_p1_binomial`) relies on it.
     """
     if n < 0:
-        raise ValueError(f"binom requires n >= 0, got n={n}")
+        raise DomainError(f"binom requires n >= 0, got n={n}")
     if k < 0 or k > n:
         return 0
     return math.comb(n, k)
@@ -41,7 +43,7 @@ def binom(n: int, k: int) -> int:
 def factorial(m: int) -> int:
     """m! for m >= 0."""
     if m < 0:
-        raise ValueError(f"factorial requires m >= 0, got {m}")
+        raise DomainError(f"factorial requires m >= 0, got {m}")
     return math.factorial(m)
 
 
@@ -89,7 +91,7 @@ def legendre_valuation(m: int, p: int) -> int:
     Never materializes m!, so m in the millions is fine.
     """
     if m < 0:
-        raise ValueError(f"legendre_valuation requires m >= 0, got {m}")
+        raise DomainError(f"legendre_valuation requires m >= 0, got {m}")
     _require_prime(p)
     total = 0
     power = p
@@ -102,7 +104,7 @@ def legendre_valuation(m: int, p: int) -> int:
 def padic_valuation(x: int, p: int) -> int:
     """Largest k with p**k dividing x, for nonzero x."""
     if x == 0:
-        raise ValueError("padic_valuation(0, p) is infinite")
+        raise DomainError("padic_valuation(0, p) is infinite")
     _require_prime(p)
     x = abs(x)
     k = 0
@@ -114,4 +116,4 @@ def padic_valuation(x: int, p: int) -> int:
 
 def _require_prime(p: int) -> None:
     if not is_prime(p):
-        raise ValueError(f"expected a prime, got {p}")
+        raise DomainError(f"expected a prime, got {p}")

@@ -16,16 +16,17 @@ decimal string, so arbitrarily large values survive any JSON parser.
 it runs, in pool workers too, and restores the caller's limit on
 return.
 `--sweep` iterates a rectangular (g, d) grid, one record per cell in
-lexicographic order. `--workers N` is an upper bound: a sweep may fan
-its cells out over a pool of up to N processes (never more than it has
-cells) without changing the output. A Schubert sweep (`tev-p1
---method schubert|both`) always uses the pool. A closed-form sweep
-(`vtev`, `certify`, `tev-p1 --method binomial`) runs in this process
-unless max(g_max, d_max) * r * e, a bound on the size of its largest
-value, reaches `POOL_MIN_SIZE`: below that a cell costs less than the
-pool's start-up. The pool (and multiprocessing with it) is imported
-only when a sweep uses it, so single points and serial sweeps start
-faster.
+lexicographic order. A point (`--g`, `--d`) runs as the one-cell grid
+(g, g, d, d) on the same path. `--workers N` is an upper bound: a
+sweep may fan its cells out over a pool of up to N processes (never
+more than it has cells) without changing the output. A Schubert sweep
+(`tev-p1 --method schubert|both`) always uses the pool. A closed-form
+sweep (`vtev`, `certify`, `tev-p1 --method binomial`) runs in this
+process unless max(g_max, d_max) * r * e, a bound on the size of its
+largest value, reaches `POOL_MIN_SIZE`: below that a cell costs less
+than the pool's start-up. The pool (and multiprocessing with it) is
+imported only when a sweep uses it, so single points and serial sweeps
+start faster.
 
 Exit codes: 0 ok, 2 parse or usage error (an empty sweep or qh-check
 grid is one, and so is mixing point flags `--g`/`--d` with grid flags
@@ -114,14 +115,8 @@ class RunRecord:
     error_kind: str | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "command": self.command,
-            "inputs": self.inputs,
-            "outputs": self.outputs,
-            "citations": self.citations,
-            "status": self.status,
-            "error_kind": self.error_kind,
-        }
+        """The fields, in declaration order."""
+        return dict(vars(self))
 
 
 def _fail(record: RunRecord, exc: TevError) -> RunRecord:
@@ -314,14 +309,6 @@ def _run_cell(command: str, option: str, cell: tuple[int, int]) -> RunRecord:
     return run_certify(option, g, d)
 
 
-def _grid(args) -> tuple[int, int, int, int]:
-    """The sweep window (g_min, g_max, d_min, d_max); `--g-min` and
-    `--d-min` default to 0 and 1."""
-    g_min = 0 if args.g_min is None else args.g_min
-    d_min = 1 if args.d_min is None else args.d_min
-    return g_min, args.g_max, d_min, args.d_max
-
-
 # A closed-form cell (vtev, certify, tev-p1 --method binomial) takes
 # about 10 us until its value nears 10^4 bits, far less than starting,
 # feeding and shutting down a process pool. So such a sweep pools only
@@ -341,10 +328,10 @@ def _size_proxy(r: int, e: int, g_max: int, d_max: int) -> int:
     return max(g_max, d_max) * r * e
 
 
-def _pool_pays(args) -> bool:
+def _pool_pays(args, g_max: int, d_max: int) -> bool:
     """Whether a sweep's cells cost enough to be worth a process pool.
 
-    The answer reads only the command, the target and the grid, never
+    The answer reads only the command, the target and the window, never
     a clock, so a sweep makes the same choice on every run.
     """
     if args.command == "tev-p1":
@@ -357,18 +344,20 @@ def _pool_pays(args) -> bool:
         except TevError:
             return False  # every cell is the same cheap error record
         r, e = target.r, target.e
-    return _size_proxy(r, e, args.g_max, args.d_max) >= POOL_MIN_SIZE
+    return _size_proxy(r, e, g_max, d_max) >= POOL_MIN_SIZE
 
 
-def _sweep(cell_fn, args) -> list[RunRecord]:
-    g_min, g_max, d_min, d_max = _grid(args)
+def _sweep(cell_fn, args, window) -> list[RunRecord]:
+    """The window's records in lexicographic order; a point's one-cell
+    window caps the workers at 1, so it never weighs a pool."""
+    g_min, g_max, d_min, d_max = window
     cells = [
         (g, d)
         for g in range(g_min, g_max + 1)
         for d in range(d_min, d_max + 1)
     ]
     workers = min(1 if args.workers is None else args.workers, len(cells))
-    if workers > 1 and _pool_pays(args):
+    if workers > 1 and _pool_pays(args, g_max, d_max):
         # imported here: the pool pulls in multiprocessing, which a
         # serial run never needs
         from concurrent.futures import ProcessPoolExecutor
@@ -410,26 +399,48 @@ def _render_all(records: list[RunRecord], as_json: bool) -> str:
     return "\n\n".join(render_table(r) for r in records)
 
 
-def _add_common_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--json", action="store_true", help="newline-delimited JSON records")
-    sub.add_argument("--out", metavar="PATH", help="write output to a file instead of stdout")
+_INT = {"type": int}
+_REQUIRED_INT = {"type": int, "required": True}
+_TARGET = ("--target", {"required": True})
 
-
-def _add_sweep_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--sweep", action="store_true", help="iterate a (g, d) grid")
+# the flags of every subcommand that runs (g, d) cells
+_CELL_FLAGS = (
+    ("--g", _INT),
+    ("--d", _INT),
+    ("--sweep", {"action": "store_true", "help": "iterate a (g, d) grid"}),
     # --g-min, --d-min and --workers default to None so that an
     # explicit value without --sweep can be told apart and rejected
-    sub.add_argument("--g-min", type=int, help="first genus of the sweep (default 0)")
-    sub.add_argument("--g-max", type=int)
-    sub.add_argument("--d-min", type=int, help="first degree of the sweep (default 1)")
-    sub.add_argument("--d-max", type=int)
-    sub.add_argument(
-        "--workers", type=int,
-        help="most processes a sweep may use (>= 1, capped at the cell "
+    ("--g-min", {"type": int, "help": "first genus of the sweep (default 0)"}),
+    ("--g-max", _INT),
+    ("--d-min", {"type": int, "help": "first degree of the sweep (default 1)"}),
+    ("--d-max", _INT),
+    ("--workers", {"type": int, "help": (
+        "most processes a sweep may use (>= 1, capped at the cell "
         "count, default 1); Schubert sweeps use them, closed-form sweeps "
         f"only once max(g_max, d_max) * r * e reaches {POOL_MIN_SIZE}; "
-        "output is unchanged",
-    )
+        "output is unchanged"
+    )}),
+)
+_OUTPUT_FLAGS = (
+    ("--json", {"action": "store_true", "help": "newline-delimited JSON records"}),
+    ("--out", {"metavar": "PATH", "help": "write output to a file instead of stdout"}),
+)
+
+# name -> (help line, whether it runs (g, d) cells, its own flags)
+_COMMANDS = {
+    "vtev": ("closed-form virtual count", True, (_TARGET,)),
+    "tev-p1": ("geometric count for the line", True, (
+        ("--method", {"choices": ("binomial", "schubert", "both"), "default": "binomial"}),
+    )),
+    "qh-check": ("quantum ring vs closed form over a grid", False, (
+        ("--r", _REQUIRED_INT), ("--g-max", _REQUIRED_INT), ("--d-max", _REQUIRED_INT),
+        ("--per-case", {"action": "store_true", "help": "emit one record per grid cell"}),
+    )),
+    "certify": ("enumerativity certificate", True, (_TARGET,)),
+    "very-free": ("very-free curve existence in characteristic p", False, (
+        ("--e", _REQUIRED_INT), ("--r", _REQUIRED_INT), ("--p", _REQUIRED_INT),
+    )),
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -438,51 +449,10 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Exact virtual and geometric Tevelev degrees.",
     )
     commands = parser.add_subparsers(dest="command", required=True)
-
-    p_vtev = commands.add_parser("vtev", help="closed-form virtual count")
-    p_vtev.add_argument("--target", required=True)
-    p_vtev.add_argument("--g", type=int)
-    p_vtev.add_argument("--d", type=int)
-    _add_sweep_flags(p_vtev)
-    _add_common_flags(p_vtev)
-
-    p_line = commands.add_parser("tev-p1", help="geometric count for the line")
-    p_line.add_argument("--g", type=int)
-    p_line.add_argument("--d", type=int)
-    p_line.add_argument(
-        "--method",
-        choices=("binomial", "schubert", "both"),
-        default="binomial",
-    )
-    _add_sweep_flags(p_line)
-    _add_common_flags(p_line)
-
-    p_qh = commands.add_parser(
-        "qh-check", help="quantum ring vs closed form over a grid"
-    )
-    p_qh.add_argument("--r", type=int, required=True)
-    p_qh.add_argument("--g-max", type=int, required=True)
-    p_qh.add_argument("--d-max", type=int, required=True)
-    p_qh.add_argument(
-        "--per-case", action="store_true", help="emit one record per grid cell"
-    )
-    _add_common_flags(p_qh)
-
-    p_cert = commands.add_parser("certify", help="enumerativity certificate")
-    p_cert.add_argument("--target", required=True)
-    p_cert.add_argument("--g", type=int)
-    p_cert.add_argument("--d", type=int)
-    _add_sweep_flags(p_cert)
-    _add_common_flags(p_cert)
-
-    p_vf = commands.add_parser(
-        "very-free", help="very-free curve existence in characteristic p"
-    )
-    p_vf.add_argument("--e", type=int, required=True)
-    p_vf.add_argument("--r", type=int, required=True)
-    p_vf.add_argument("--p", type=int, required=True)
-    _add_common_flags(p_vf)
-
+    for name, (help_line, cells, own_flags) in _COMMANDS.items():
+        sub = commands.add_parser(name, help=help_line)
+        for flag, options in own_flags + (_CELL_FLAGS if cells else ()) + _OUTPUT_FLAGS:
+            sub.add_argument(flag, **options)
     return parser
 
 
@@ -497,21 +467,26 @@ def _exit_code(records: list[RunRecord], swept: bool) -> int:
     return getattr(errors, record.error_kind).exit_code
 
 
-def _require_point(parser: argparse.ArgumentParser, args) -> None:
-    if args.g_max is not None or args.d_max is not None:
-        parser.error("--g-max and --d-max need --sweep")
-    if not (args.g_min is None and args.d_min is None and args.workers is None):
-        parser.error("--g-min, --d-min and --workers need --sweep")
-    if args.g is None or args.d is None:
-        parser.error("--g and --d are required without --sweep")
-
-
-def _require_grid(parser: argparse.ArgumentParser, args) -> None:
+def _window(parser: argparse.ArgumentParser, args) -> tuple[int, int, int, int]:
+    """The (g_min, g_max, d_min, d_max) window of a cell command: the
+    point `--g`, `--d` is the one-cell window (g, g, d, d), and a sweep's
+    `--g-min` and `--d-min` default to 0 and 1."""
+    if not args.sweep:
+        if args.g_max is not None or args.d_max is not None:
+            parser.error("--g-max and --d-max need --sweep")
+        if not (args.g_min is None and args.d_min is None and args.workers is None):
+            parser.error("--g-min, --d-min and --workers need --sweep")
+        if args.g is None or args.d is None:
+            parser.error("--g and --d are required without --sweep")
+        return args.g, args.g, args.d, args.d
     if args.g is not None or args.d is not None:
         parser.error("--g and --d cannot be combined with --sweep")
     if args.g_max is None or args.d_max is None:
         parser.error("--sweep needs --g-max and --d-max")
-    _reject_empty_grid(parser, "sweep grid", *_grid(args))
+    g_min = 0 if args.g_min is None else args.g_min
+    d_min = 1 if args.d_min is None else args.d_min
+    _reject_empty_grid(parser, "sweep grid", g_min, args.g_max, d_min, args.d_max)
+    return g_min, args.g_max, d_min, args.d_max
 
 
 def _reject_empty_grid(
@@ -544,24 +519,18 @@ def main(argv=None) -> int:
 def _main(argv) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    workers = getattr(args, "workers", None)
-    if workers is not None and workers < 1:
-        parser.error(f"--workers must be >= 1, got {workers}")
-
     swept = bool(getattr(args, "sweep", False))
-    if args.command == "qh-check":
+    if _COMMANDS[args.command][1]:  # runs (g, d) cells
+        if args.workers is not None and args.workers < 1:
+            parser.error(f"--workers must be >= 1, got {args.workers}")
+        option = args.method if args.command == "tev-p1" else args.target
+        cell_fn = partial(_run_cell, args.command, option)
+        records = _sweep(cell_fn, args, _window(parser, args))
+    elif args.command == "qh-check":
         _reject_empty_grid(parser, "qh-check grid", 0, args.g_max, 1, args.d_max)
         records = run_qh_check(args.r, args.g_max, args.d_max, args.per_case)
-    elif args.command == "very-free":
-        records = [run_very_free(args.e, args.r, args.p)]
     else:
-        option = args.method if args.command == "tev-p1" else args.target
-        if swept:
-            _require_grid(parser, args)
-            records = _sweep(partial(_run_cell, args.command, option), args)
-        else:
-            _require_point(parser, args)
-            records = [_run_cell(args.command, option, (args.g, args.d))]
+        records = [run_very_free(args.e, args.r, args.p)]
 
     text = _render_all(records, args.json)
     if args.out:

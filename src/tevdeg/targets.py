@@ -108,13 +108,13 @@ class TargetSpec:
         )
 
     @classmethod
-    def hypersurface(cls, e: int, r: int, s_bound: int | None = None) -> "TargetSpec":
+    def hypersurface(cls, e: int, r: int) -> "TargetSpec":
         """Smooth degree-e hypersurface of dimension r in P^{r+1}.
 
         Degree 1 is a hyperplane and normalizes to projective space;
         degree 2 normalizes to the quadric kind, which has its own
-        closed form. The index is r + 2 - e, which is also t; the
-        default s bound is the conservative choice s = t.
+        closed form. The index is r + 2 - e, which is also t, and s is
+        the conservative choice s = t.
         """
         if e < 1:
             raise InvalidTarget(f"hypersurface degree must be >= 1, got {e}")
@@ -130,18 +130,8 @@ class TargetSpec:
                 f"degree {e} hypersurface of dimension {r} has "
                 f"anticanonical degree {index} <= 0"
             )
-        t_bound = index
-        if s_bound is None:
-            s_bound = t_bound
-        if s_bound < t_bound:
-            raise InvalidTarget("s bound cannot be smaller than t bound")
         return cls(
-            TargetKind.HYPERSURFACE,
-            r=r,
-            e=e,
-            index=index,
-            s_bound=s_bound,
-            t_bound=t_bound,
+            TargetKind.HYPERSURFACE, r=r, e=e, index=index, s_bound=index, t_bound=index
         )
 
     @classmethod

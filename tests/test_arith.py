@@ -12,6 +12,7 @@ import random
 import pytest
 
 from tevdeg import binom, factorial, is_prime, legendre_valuation, padic_valuation
+from tevdeg.errors import DomainError, TevError
 
 
 def _pascal_rows(n_max):
@@ -180,3 +181,23 @@ def test_is_prime_known_hard_cases():
     # a prime above 2**64 passes every round, the seeded ones too
     assert is_prime(2 ** 89 - 1)
     assert not is_prime((2 ** 61 - 1) * (2 ** 89 - 1))
+
+
+@pytest.mark.parametrize(
+    "call, args",
+    [
+        (binom, (-1, 0)),
+        (factorial, (-3,)),
+        (legendre_valuation, (-1, 3)),
+        (legendre_valuation, (4, 6)),
+        (padic_valuation, (0, 5)),
+        (padic_valuation, (10, 4)),
+    ],
+)
+def test_domain_violations_are_tev_errors(call, args):
+    # the taxonomy's DomainError, so a caller catching TevError sees them
+    # too; it stays a ValueError for callers that catch that
+    with pytest.raises(TevError) as exc:
+        call(*args)
+    assert type(exc.value) is DomainError
+    assert isinstance(exc.value, ValueError)

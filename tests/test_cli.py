@@ -7,6 +7,7 @@ import contextlib
 import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -702,3 +703,52 @@ def test_every_error_class_has_its_exit_code(name):
     record = cli._fail(cli.RunRecord("vtev", {}), cls("message"))
     assert cli._exit_code([record], swept=False) == cls.exit_code
     assert cli._exit_code([record], swept=True) == 0
+
+
+HELP_FLAGS = {
+    "vtev": {"--help", "--target", "--g", "--d", "--sweep", "--g-min",
+             "--g-max", "--d-min", "--d-max", "--workers", "--json", "--out"},
+    "tev-p1": {"--help", "--method", "--g", "--d", "--sweep", "--g-min",
+               "--g-max", "--d-min", "--d-max", "--workers", "--json", "--out"},
+    "qh-check": {"--help", "--r", "--g-max", "--d-max", "--per-case",
+                 "--json", "--out"},
+    "certify": {"--help", "--target", "--g", "--d", "--sweep", "--g-min",
+                "--g-max", "--d-min", "--d-max", "--workers", "--json", "--out"},
+    "very-free": {"--help", "--e", "--r", "--p", "--json", "--out"},
+}
+
+
+@pytest.mark.parametrize("command", sorted(HELP_FLAGS))
+def test_each_subcommand_takes_exactly_its_flags(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    assert set(re.findall(r"--[a-z-]+", capsys.readouterr().out)) == HELP_FLAGS[command]
+
+
+@pytest.mark.parametrize(
+    "command, g, d, code, kind",
+    [
+        (["vtev", "--target", "p:2"], 1, 2, 0, None),
+        (["vtev", "--target", "p:2"], 6, 2, 3, "NegativeN"),
+        (["vtev", "--target", "p:2"], -1, 3, 4, "DomainError"),
+        (["vtev", "--target", "quadric:2"], 1, 2, 2, "InvalidTarget"),
+        (["certify", "--target", "p:2"], 1, 2, 0, None),
+        (["certify", "--target", "quadric:3"], 0, 1, 0, None),
+        (["certify", "--target", "p:x"], 1, 2, 2, "TargetParseError"),
+        (["certify", "--target", "p:2"], -1, 3, 4, "DomainError"),
+        (["tev-p1", "--method", "both"], 3, 4, 0, None),
+        (["tev-p1", "--method", "schubert"], 7, 2, 4, "DegreeUnderflow"),
+        (["tev-p1"], 0, 0, 4, "LineDomainError"),
+    ],
+)
+def test_a_point_is_its_one_cell_sweep(capsys, command, g, d, code, kind):
+    got, point = _run(capsys, [*command, "--g", str(g), "--d", str(d), "--json"])
+    assert got == code
+    (record,) = _json_records(point)
+    assert record["error_kind"] == kind
+    window = ["--sweep", "--g-min", str(g), "--g-max", str(g),
+              "--d-min", str(d), "--d-max", str(d)]
+    got, swept = _run(capsys, [*command, *window, "--json"])
+    assert got == 0
+    assert swept == point
