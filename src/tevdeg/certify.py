@@ -89,9 +89,10 @@ _RELATIONS = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass
 class Check:
-    """One evaluated inequality: description, both sides, verdict."""
+    """One evaluated inequality: description, both sides, verdict.
+    Treated as immutable."""
 
     description: str
     left: int
@@ -108,13 +109,13 @@ def _check(description: str, left: int, relation: str, right: int) -> Check:
     return Check(description, left, relation, right, _RELATIONS[relation](left, right))
 
 
-@dataclass(frozen=True)
+@dataclass
 class Certificate:
     """Outcome of certification with its supporting arithmetic.
 
     `geometric_value` is only ever attached for the line, the one
     target with an implemented geometric formula. An Enumerative
-    status requires every listed check to hold.
+    status requires every listed check to hold. Treated as immutable.
     """
 
     status: Status
@@ -124,9 +125,10 @@ class Certificate:
     geometric_value: int | None = None
 
 
-@dataclass(frozen=True)
+@dataclass
 class VeryFreeReport:
-    """Very-free existence evidence for a hypersurface in char p."""
+    """Very-free existence evidence for a hypersurface in char p.
+    Treated as immutable."""
 
     e: int
     r: int

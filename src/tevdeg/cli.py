@@ -28,12 +28,13 @@ than the pool's start-up. The pool (and multiprocessing with it) is
 imported only when a sweep uses it, so single points and serial sweeps
 start faster.
 
-Exit codes: 0 ok, 2 parse or usage error (an empty sweep or qh-check
-grid is one, and so is mixing point flags `--g`/`--d` with grid flags
-`--sweep`/`--g-max`/`--d-max`/`--g-min`/`--d-min`/`--workers`), 3
-well-posedness error, 4 hypothesis or formula-domain violation. A
-failed record's code is the `exit_code` of its error class, defined
-once in `errors`.
+Exit codes: 0 ok, 1 stdout closed early (a broken pipe), 2 parse or
+usage error (an empty sweep or qh-check grid is one, and so are an
+`--out` path that cannot be opened and mixing point flags `--g`/`--d`
+with grid flags `--sweep`/`--g-max`/`--d-max`/`--g-min`/`--d-min`/
+`--workers`), 3 well-posedness error, 4 hypothesis or
+formula-domain violation. A failed record's code is the `exit_code`
+of its error class, defined once in `errors`.
 Sweeps exit 0 as long as the sweep itself runs; per-cell failures are
 encoded in the records.
 """
@@ -41,7 +42,9 @@ encoded in the records.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import os
 import sys
 from dataclasses import dataclass, field
 from functools import partial
@@ -390,7 +393,9 @@ def render_table(record: RunRecord) -> str:
 
 
 def render_json(record: RunRecord) -> str:
-    return json.dumps(record.to_dict(), separators=(", ", ": "))
+    # the default separators are (", ", ": ") already; naming them would
+    # build a new encoder per record instead of reusing json's cached one
+    return json.dumps(record.to_dict())
 
 
 def _render_all(records: list[RunRecord], as_json: bool) -> str:
@@ -516,28 +521,45 @@ def main(argv=None) -> int:
         sys.set_int_max_str_digits(saved)
 
 
+def _open_output(parser: argparse.ArgumentParser, path: str | None):
+    """A context manager for the stream the records go to: stdout, or
+    the `--out` file. A path that cannot be opened is a usage error."""
+    if not path:
+        return contextlib.nullcontext(sys.stdout)
+    try:
+        return open(path, "w", encoding="utf-8")
+    except OSError as exc:
+        parser.error(f"cannot open --out {path}: {exc.strerror}")
+
+
 def _main(argv) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     swept = bool(getattr(args, "sweep", False))
+    # usage errors come first, then the output is opened, then cells run
     if _COMMANDS[args.command][1]:  # runs (g, d) cells
         if args.workers is not None and args.workers < 1:
             parser.error(f"--workers must be >= 1, got {args.workers}")
         option = args.method if args.command == "tev-p1" else args.target
         cell_fn = partial(_run_cell, args.command, option)
-        records = _sweep(cell_fn, args, _window(parser, args))
+        run = partial(_sweep, cell_fn, args, _window(parser, args))
     elif args.command == "qh-check":
         _reject_empty_grid(parser, "qh-check grid", 0, args.g_max, 1, args.d_max)
-        records = run_qh_check(args.r, args.g_max, args.d_max, args.per_case)
+        run = partial(run_qh_check, args.r, args.g_max, args.d_max, args.per_case)
     else:
-        records = [run_very_free(args.e, args.r, args.p)]
+        def run():
+            return [run_very_free(args.e, args.r, args.p)]
 
-    text = _render_all(records, args.json)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text + "\n")
-    else:
-        print(text)
+    with _open_output(parser, args.out) as stream:
+        records = run()
+        try:
+            print(_render_all(records, args.json), file=stream)
+            stream.flush()  # a closed pipe raises here, not at exit
+        except BrokenPipeError:
+            # the reader left early (`| head`); as in Python's SIGPIPE
+            # note, point stdout at devnull so the final flush is silent
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            return 1
     return _exit_code(records, swept)
 
 

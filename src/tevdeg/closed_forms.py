@@ -45,13 +45,13 @@ class FormulaKind(Enum):
     QUADRIC = "quadric"
 
 
-@dataclass(frozen=True)
+@dataclass
 class VTevResult:
     """A virtual count together with how it was produced.
 
     `factorization` is a tuple of (base, exponent) pairs whose product
     equals `value`; for the quadric the value is not naturally a
-    product, so the hint is the trivial one.
+    product, so the hint is the trivial one. Treated as immutable.
     """
 
     value: int

@@ -50,7 +50,7 @@ class TargetKind(Enum):
     CUSTOM = "custom"
 
 
-@dataclass(frozen=True)
+@dataclass
 class TargetSpec:
     """A Picard-rank-1 Fano target.
 
@@ -58,7 +58,8 @@ class TargetSpec:
     must be positive. `s_bound` and `t_bound` are the minimal c1
     pairings over curve classes with surjective one-point (resp.
     two-point) evaluation; for homogeneous and custom targets they are
-    recorded as asserted by the caller, never derived.
+    recorded as asserted by the caller, never derived. Treated as
+    immutable: nothing changes a spec after `__post_init__`.
     """
 
     kind: TargetKind
@@ -89,7 +90,7 @@ class TargetSpec:
         ):
             raise InvalidTarget("s bound cannot be smaller than t bound")
         if self.ci_degrees is not None:
-            object.__setattr__(self, "ci_degrees", tuple(self.ci_degrees))
+            self.ci_degrees = tuple(self.ci_degrees)
             if any(e_i < 1 for e_i in self.ci_degrees):
                 raise InvalidTarget("complete intersection degrees must be >= 1")
 
@@ -201,12 +202,12 @@ class TargetSpec:
         return f"custom target, dim {self.r}, index {self.index}"
 
 
-@dataclass(frozen=True)
+@dataclass
 class TevProblem:
     """A well-posed counting problem: target, genus, degree, markings.
 
     The stored n always satisfies the dimension constraint
-    d * index = r * (n + g - 1).
+    d * index = r * (n + g - 1). Treated as immutable.
     """
 
     target: TargetSpec

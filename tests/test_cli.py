@@ -5,6 +5,7 @@ from __future__ import annotations
 import concurrent.futures
 import contextlib
 import dataclasses
+import hashlib
 import json
 import os
 import re
@@ -752,3 +753,94 @@ def test_a_point_is_its_one_cell_sweep(capsys, command, g, d, code, kind):
     got, swept = _run(capsys, [*command, *window, "--json"])
     assert got == 0
     assert swept == point
+
+
+_GRID = ["--sweep", "--g-max", "14", "--d-max", "40", "--json"]
+# sha256 and line count of each command's JSON output, recorded before
+# the value classes lost `frozen=True` and `render_json` its explicit
+# separators. gp:4:3 gives NoKnownFormula records, and the target text
+# `p:"\` needs escaping both where it is echoed and in its message.
+PINNED_OUTPUTS = {
+    "vtev p:2": (["vtev", "--target", "p:2", *_GRID], 600,
+                 "9d5f3e676183913ac15d5d448a62302849dd9be50dc2386e2d4c93b6c2088c44"),
+    "vtev hyp:3:7": (["vtev", "--target", "hyp:3:7", *_GRID], 600,
+                     "ec481f48a15435f08035b0ff4d508dd98a4e04814bc1ce74cd6e27343502e057"),
+    "vtev quadric:6": (["vtev", "--target", "quadric:6", *_GRID], 600,
+                       "201a41b2379a7f759f34b151582af58532700577c1a3f584a380298386b0dac1"),
+    "vtev gp:4:3": (["vtev", "--target", "gp:4:3", *_GRID], 600,
+                    "c3c0cdc210ae672b5c033d182c1c308b552f8ff925ddf90802154e5b63203de8"),
+    "vtev custom:5:2": (["vtev", "--target", "custom:5:2", *_GRID], 600,
+                        "b8b71182d15db766737199b2490a590452819d4889bf64b0f1f63ec5e831874a"),
+    "tev-p1 both": (["tev-p1", "--method", "both", "--sweep", "--g-max", "30",
+                     "--d-max", "30", "--json"], 930,
+                    "4e8ee0a1ac4a311f5256dc9045ab9a6e0a181462138b0f5fe6b0c3030e93fc23"),
+    "qh-check per case": (["qh-check", "--r", "3", "--g-max", "6", "--d-max", "30",
+                           "--per-case", "--json"], 70,
+                          "a924e7652def5204656102e85235407cbce6aa32e61c68dbe84c9fa4b7e35bbb"),
+    "escaped error": (["vtev", "--target", 'p:"\\', "--g", "1", "--d", "2", "--json"], 1,
+                      "eb4a7ff69f70f3767cd26ad9605ef8df9fbe9a5d1f8cb28a24fe4f1000113f81"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_OUTPUTS))
+def test_command_outputs_are_pinned(capsys, name):
+    argv, lines, digest = PINNED_OUTPUTS[name]
+    main(argv)
+    data = capsys.readouterr().out.encode()
+    assert data.count(b"\n") == lines
+    assert hashlib.sha256(data).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "window", [["--g", "1", "--d", "2"], ["--sweep", "--g-max", "3", "--d-max", "3"]]
+)
+def test_out_path_that_cannot_be_opened_is_a_usage_error(
+    capsys, monkeypatch, tmp_path, window
+):
+    def no_cell(*args):
+        raise AssertionError("a cell ran before --out was opened")
+
+    monkeypatch.setattr(cli, "run_vtev", no_cell)
+    path = tmp_path / "missing" / "records.jsonl"
+    with pytest.raises(SystemExit) as exc:
+        main(["vtev", "--target", "p:2", *window, "--json", "--out", str(path)])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert [line for line in captured.err.splitlines() if "error:" in line] == [
+        f"tevdeg: error: cannot open --out {path}: No such file or directory"
+    ]
+    assert not path.parent.exists()
+
+
+def _env_with_src():
+    env = dict(os.environ)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
+    return env
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # far more than a pipe holds: the write itself fails
+        ["vtev", "--target", "p:2", "--sweep", "--g-max", "40", "--d-max", "60", "--json"],
+        # one short record stays buffered: only the flush fails
+        ["very-free", "--e", "3", "--r", "8", "--p", "5"],
+    ],
+)
+def test_closed_stdout_pipe_exits_1_without_a_traceback(argv):
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "tevdeg", *argv],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_env_with_src(),
+    )
+    # the reader is gone before the interpreter has even started, so the
+    # first write to stdout meets a broken pipe
+    proc.stdout.close()
+    with proc:
+        err = proc.stderr.read().decode()
+        assert proc.wait(timeout=60) == 1
+    assert "Traceback" not in err
+    assert "Exception ignored" not in err

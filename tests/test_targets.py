@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import inspect
 import typing
 from fractions import Fraction
@@ -313,3 +314,25 @@ def test_type_hints_resolve(name):
     # every annotation names something bound at run time, although the
     # modules write them as strings (from __future__ import annotations)
     typing.get_type_hints(PUBLIC_CALLABLES[name])
+
+
+def test_ci_degrees_are_normalized_to_a_tuple():
+    assert TargetSpec.custom(5, 2, ci_degrees=[3, 2]).ci_degrees == (3, 2)
+
+
+def test_value_classes_compare_by_field():
+    first = TargetSpec.custom(5, 2, ci_degrees=[3, 2])
+    second = TargetSpec.custom(5, 2, ci_degrees=(3, 2))
+    assert first == second
+    assert repr(first) == repr(second)
+    assert first != TargetSpec.custom(5, 2, ci_degrees=(2, 3))
+
+
+def test_vtev_result_supports_replace():
+    result = tevdeg.vtev(make_problem(TargetSpec.projective_space(2), 1, 2))
+    bumped = dataclasses.replace(result, value=result.value + 1)
+    assert bumped.value == result.value + 1
+    assert (bumped.problem, bumped.formula, bumped.factorization) == (
+        result.problem, result.formula, result.factorization
+    )
+    assert result.value == 3
