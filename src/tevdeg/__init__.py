@@ -28,14 +28,7 @@ from .certify import (
     transversality_threshold,
     very_free_search,
 )
-from .closed_forms import (
-    FormulaKind,
-    VTevResult,
-    vtev,
-    vtev_hypersurface,
-    vtev_projective,
-    vtev_quadric,
-)
+from .closed_forms import FormulaKind, VTevResult, vtev
 from .errors import (
     DegreeUnderflow,
     DomainError,
@@ -48,13 +41,11 @@ from .errors import (
     NoKnownFormula,
     NonFano,
     NonIntegerN,
-    NoSolution,
     SpecialClassOutOfBox,
     TargetParseError,
     TevError,
     UnstableRange,
     WellPosednessError,
-    WrongTargetKind,
 )
 from .quantum import PowerTable, QElement, handle_element, q_mul, tqft_vtev
 from .schubert import (

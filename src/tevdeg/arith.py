@@ -48,9 +48,7 @@ def factorial(m: int) -> int:
 
 
 def _strong_probable_prime(n: int, base: int) -> bool:
-    """True when odd n passes the strong test to the given base."""
-    if base % n == 0:
-        return True
+    """True when odd n passes the strong test to a base in [2, n - 2]."""
     d = n - 1
     s = (d & -d).bit_length() - 1
     d >>= s

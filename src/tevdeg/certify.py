@@ -48,7 +48,6 @@ from .closed_forms import vtev
 from .errors import (
     DomainError,
     HypothesisViolation,
-    NoSolution,
     NonFano,
     TevError,
     WellPosednessError,
@@ -339,7 +338,7 @@ def _certify_custom(problem: TevProblem) -> Certificate:
     return Certificate(status, cited, tuple(checks))
 
 
-def very_free_search(e: int, r: int, p: int, n_limit: int | None = None) -> VeryFreeReport:
+def very_free_search(e: int, r: int, p: int) -> VeryFreeReport:
     """Find the smallest usable marking count and test p-divisibility.
 
     Searches for the minimal n >= 3 with (n-1) * r divisible by
@@ -353,7 +352,8 @@ def very_free_search(e: int, r: int, p: int, n_limit: int | None = None) -> Very
     valuation is 0; a True conclusion certifies a very free rational
     curve on a general degree-e hypersurface in characteristic p.
 
-    The search bound defaults to n <= 10 * (r + 2 - e).
+    The search always ends by n = max(3, r + 3 - e): there n - 1 is
+    r + 2 - e, or 2 when that is 1, so d is r >= e >= 3, or 2r >= 4.
     """
     if e < 3:
         raise HypothesisViolation(f"very-free search needs e >= 3, got {e}")
@@ -366,20 +366,10 @@ def very_free_search(e: int, r: int, p: int, n_limit: int | None = None) -> Very
         )
     if not is_prime(p):
         raise HypothesisViolation(f"characteristic must be prime, got {p}")
-    limit = 10 * step if n_limit is None else n_limit
-    solution = None
-    for n in range(3, limit + 1):
-        if (n - 1) * r % step:
-            continue
-        d = (n - 1) * r // step
-        if d >= 3:
-            solution = (n, d)
-            break
-    if solution is None:
-        raise NoSolution(
-            f"no marking count n in [3, {limit}] works for (e, r) = ({e}, {r})"
-        )
-    n, d = solution
+    n = 3
+    while (n - 1) * r % step or (n - 1) * r // step < 3:
+        n += 1
+    d = (n - 1) * r // step
     valuation = n * legendre_valuation(e - 1, p)
     valuation += ((d - n) * e + 1) * padic_valuation(e, p)
     conditions = (_genus0_hypersurface_check(e, r), _check("p > e", p, ">", e))

@@ -456,6 +456,9 @@ def _build_parser() -> argparse.ArgumentParser:
     commands = parser.add_subparsers(dest="command", required=True)
     for name, (help_line, cells, own_flags) in _COMMANDS.items():
         sub = commands.add_parser(name, help=help_line)
+        # usage errors found after parsing go through `args.parser`, so
+        # their usage line names the subcommand and its flags
+        sub.set_defaults(parser=sub)
         for flag, options in own_flags + (_CELL_FLAGS if cells else ()) + _OUTPUT_FLAGS:
             sub.add_argument(flag, **options)
     return parser
@@ -533,8 +536,8 @@ def _open_output(parser: argparse.ArgumentParser, path: str | None):
 
 
 def _main(argv) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
+    parser = args.parser
     swept = bool(getattr(args, "sweep", False))
     # usage errors come first, then the output is opened, then cells run
     if _COMMANDS[args.command][1]:  # runs (g, d) cells

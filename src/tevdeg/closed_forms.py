@@ -13,6 +13,12 @@ forced number n of general points:
 Every result carries a factorization hint whose product re-multiplies
 to the value, so downstream valuation work never has to factor the
 (possibly enormous) integer.
+
+`vtev` is the only entry: it picks the formula by the target's kind,
+so each private evaluator below sees only its own kind. They still
+check the hypotheses of their formula (e >= 3 and r >= 2e - 3 for
+hypersurfaces, r >= 3 for quadrics), because a `TargetSpec` built
+field by field can carry any e and r.
 """
 
 from __future__ import annotations
@@ -21,22 +27,10 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .arith import factorial
-from .errors import (
-    HypothesisViolation,
-    NegativeExponent,
-    NoKnownFormula,
-    WrongTargetKind,
-)
+from .errors import HypothesisViolation, NegativeExponent, NoKnownFormula
 from .targets import TargetKind, TevProblem
 
-__all__ = [
-    "FormulaKind",
-    "VTevResult",
-    "vtev",
-    "vtev_hypersurface",
-    "vtev_projective",
-    "vtev_quadric",
-]
+__all__ = ["FormulaKind", "VTevResult", "vtev"]
 
 
 class FormulaKind(Enum):
@@ -60,14 +54,9 @@ class VTevResult:
     factorization: tuple[tuple[int, int], ...]
 
 
-def vtev_projective(problem: TevProblem) -> VTevResult:
+def _projective(problem: TevProblem) -> VTevResult:
     """Virtual count for P^r: (r + 1)^g."""
-    target = problem.target
-    if target.kind is not TargetKind.PROJECTIVE_SPACE:
-        raise WrongTargetKind(
-            f"projective-space formula applied to {target.describe()}"
-        )
-    base = target.r + 1
+    base = problem.target.r + 1
     return VTevResult(
         value=base ** problem.g,
         problem=problem,
@@ -76,7 +65,7 @@ def vtev_projective(problem: TevProblem) -> VTevResult:
     )
 
 
-def vtev_hypersurface(problem: TevProblem) -> VTevResult:
+def _hypersurface(problem: TevProblem) -> VTevResult:
     """Virtual count for a degree-e hypersurface with e >= 3, r >= 2e - 3.
 
     The value is ((e-1)!)^n * (r+2-e)^g * e^((d-n)e - g + 1). For any
@@ -84,12 +73,7 @@ def vtev_hypersurface(problem: TevProblem) -> VTevResult:
     (e-1)(g-1) + d*e*(e-2)/r >= 0, but the guard stays: the formula is
     only quoted with a nonnegative exponent.
     """
-    target = problem.target
-    if target.kind is not TargetKind.HYPERSURFACE:
-        raise WrongTargetKind(
-            f"hypersurface formula applied to {target.describe()}"
-        )
-    e, r = target.e, target.r
+    e, r = problem.target.e, problem.target.r
     if e < 3:
         raise HypothesisViolation(f"hypersurface formula needs e >= 3, got {e}")
     if r < 2 * e - 3:
@@ -112,20 +96,15 @@ def vtev_hypersurface(problem: TevProblem) -> VTevResult:
     )
 
 
-def vtev_quadric(problem: TevProblem) -> VTevResult:
+def _quadric(problem: TevProblem) -> VTevResult:
     """Virtual count for a quadric of dimension r >= 3.
 
     ((2r)^g + (-1)^d (2 delta)^g) / 2 with delta = 1 for odd r and 2
     for even r; the numerator is always even, so the division is exact.
     """
-    target = problem.target
-    if target.kind is not TargetKind.QUADRIC:
-        raise WrongTargetKind(f"quadric formula applied to {target.describe()}")
-    if target.r < 3:
-        raise HypothesisViolation(
-            f"quadric formula needs r >= 3, got {target.r}"
-        )
-    r, g, d = target.r, problem.g, problem.d
+    r, g, d = problem.target.r, problem.g, problem.d
+    if r < 3:
+        raise HypothesisViolation(f"quadric formula needs r >= 3, got {r}")
     delta = 1 if r % 2 else 2
     sign = -1 if d % 2 else 1
     numerator = (2 * r) ** g + sign * (2 * delta) ** g
@@ -141,14 +120,18 @@ def vtev_quadric(problem: TevProblem) -> VTevResult:
 
 
 _DISPATCH = {
-    TargetKind.PROJECTIVE_SPACE: vtev_projective,
-    TargetKind.HYPERSURFACE: vtev_hypersurface,
-    TargetKind.QUADRIC: vtev_quadric,
+    TargetKind.PROJECTIVE_SPACE: _projective,
+    TargetKind.HYPERSURFACE: _hypersurface,
+    TargetKind.QUADRIC: _quadric,
 }
 
 
 def vtev(problem: TevProblem) -> VTevResult:
-    """Dispatch to the closed form covering the problem's target kind."""
+    """The closed-form virtual count of a well-posed problem.
+
+    The only entry to the closed forms: it dispatches on the target's
+    kind and raises NoKnownFormula for a kind without one.
+    """
     evaluator = _DISPATCH.get(problem.target.kind)
     if evaluator is None:
         raise NoKnownFormula(

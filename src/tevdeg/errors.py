@@ -17,7 +17,6 @@ __all__ = [
     "NonIntegerN",
     "NegativeN",
     "UnstableRange",
-    "WrongTargetKind",
     "HypothesisViolation",
     "NegativeExponent",
     "NoKnownFormula",
@@ -26,7 +25,6 @@ __all__ = [
     "DegreeUnderflow",
     "DomainError",
     "LineDomainError",
-    "NoSolution",
 ]
 
 
@@ -75,10 +73,6 @@ class UnstableRange(WellPosednessError):
     """2g - 2 + n <= 0, outside the stable range."""
 
 
-class WrongTargetKind(TevError):
-    """A formula was applied to a target kind it does not cover."""
-
-
 class HypothesisViolation(TevError):
     """An explicit hypothesis of the requested computation fails."""
 
@@ -114,7 +108,3 @@ class DomainError(TevError, ValueError):
 
 class LineDomainError(DomainError):
     """The line count needs genus g >= 0 and degree d >= 1."""
-
-
-class NoSolution(TevError):
-    """A bounded search was exhausted without finding a solution."""

@@ -129,11 +129,6 @@ class QElement:
                 bucket[qe] = bucket.get(qe, 0) + c
         return QElement._trusted(self.r, _nonzero(out))
 
-    def __mul__(self, other: "QElement") -> "QElement":
-        if not isinstance(other, QElement):
-            return NotImplemented
-        return q_mul(self, other)
-
     def is_zero(self) -> bool:
         return all(not slot for slot in self.coeffs)
 

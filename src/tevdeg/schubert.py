@@ -109,9 +109,6 @@ class SchubertCombo:
             out[key] = out.get(key, 0) + mult
         return SchubertCombo(self.m, out)
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def __repr__(self) -> str:
         if not self.terms:
             return "0"

@@ -11,8 +11,11 @@ For genus g and degree d the marking count is forced by dimensions:
     n = 1 - g + d * I / r
 
 A triple is well-posed when n is a nonnegative integer and (g, n) is
-in the stable range 2g - 2 + n > 0. `make_problem` is the only door
-into `TevProblem`, so a constructed problem is always well-posed.
+in the stable range 2g - 2 + n > 0. Each check lives in one place:
+`TargetSpec` checks the target, `make_problem` computes n and rejects
+a non-integral one, and the `TevProblem` constructor checks the rest.
+So every constructed problem is well-posed, and one built directly
+with the forced n raises exactly what `make_problem` raises.
 """
 
 from __future__ import annotations
@@ -206,8 +209,10 @@ class TargetSpec:
 class TevProblem:
     """A well-posed counting problem: target, genus, degree, markings.
 
-    The stored n always satisfies the dimension constraint
-    d * index = r * (n + g - 1). Treated as immutable.
+    Construction decides well-posedness once n is known: g >= 0 and
+    d >= 1 (DomainError), the dimension constraint
+    d * index = r * (n + g - 1) (DomainError), n >= 0 (NegativeN), and
+    2g - 2 + n > 0 (UnstableRange). Treated as immutable.
     """
 
     target: TargetSpec
@@ -216,12 +221,21 @@ class TevProblem:
     n: int
 
     def __post_init__(self) -> None:
-        lhs = self.d * self.target.index
-        rhs = self.target.r * (self.n + self.g - 1)
+        g, n = self.g, self.n
+        _check_genus(g)
+        lhs = c1_pairing(self.target, self.d)
+        rhs = self.target.r * (n + g - 1)
         if lhs != rhs:
             raise DomainError(
                 f"dimension constraint violated: d*I = {lhs} but "
                 f"r*(n+g-1) = {rhs}"
+            )
+        if n < 0:
+            raise NegativeN(f"marking count {n} is negative (g={g}, d={self.d})")
+        if 2 * g - 2 + n <= 0:
+            raise UnstableRange(
+                f"(g, n) = ({g}, {n}) lies outside the stable range "
+                "2g - 2 + n > 0"
             )
 
 
@@ -263,11 +277,12 @@ def degree_step(target: TargetSpec) -> int:
 
 
 def make_problem(target: TargetSpec, g: int, d: int) -> TevProblem:
-    """Validate well-posedness and build the problem instance.
+    """Compute the forced marking count and build the problem instance.
 
-    Raises NonIntegerN, NegativeN, or UnstableRange when the triple is
-    not well-posed (NonFano cannot survive TargetSpec construction but
-    is re-checked defensively), and DomainError when g < 0 or d < 1.
+    Raises NonIntegerN when n is not an integer, and DomainError when
+    g < 0 or d < 1; the `TevProblem` constructor then raises NegativeN
+    or UnstableRange. NonFano cannot survive TargetSpec construction,
+    but a spec's fields can be reassigned, so it is re-checked here.
     Everything is decided in integers, the NonIntegerN message too: it
     spells the marking count as the reduced fraction num/den.
     """
@@ -283,12 +298,4 @@ def make_problem(target: TargetSpec, g: int, d: int) -> TevProblem:
             f"marking count 1 - g + d*I/r = {num // k}/{target.r // k} "
             f"is not an integer (g={g}, d={d}, I={target.index}, r={target.r})"
         )
-    n_int = 1 - g + quotient
-    if n_int < 0:
-        raise NegativeN(f"marking count {n_int} is negative (g={g}, d={d})")
-    if 2 * g - 2 + n_int <= 0:
-        raise UnstableRange(
-            f"(g, n) = ({g}, {n_int}) lies outside the stable range "
-            "2g - 2 + n > 0"
-        )
-    return TevProblem(target=target, g=g, d=d, n=n_int)
+    return TevProblem(target=target, g=g, d=d, n=1 - g + quotient)

@@ -10,7 +10,6 @@ from tevdeg import (
     Certificate,
     HypothesisViolation,
     NonFano,
-    NoSolution,
     Status,
     TargetSpec,
     certify,
@@ -238,9 +237,20 @@ def test_very_free_input_validation():
         very_free_search(5, 3, 7)
 
 
-def test_very_free_search_bound_exhaustion():
-    with pytest.raises(NoSolution):
-        very_free_search(3, 8, 5, n_limit=7)
+def test_very_free_search_finds_the_least_marking_count():
+    # every Fano (e, r) has a usable n, and the search returns the least:
+    # no smaller n >= 3 gives an integral degree d >= 3
+    for e in range(3, 16):
+        for r in range(e - 1, 80):
+            step = r + 2 - e
+            report = very_free_search(e, r, 5)
+            usable = [
+                n for n in range(3, report.n + 1)
+                if (n - 1) * r % step == 0 and (n - 1) * r // step >= 3
+            ]
+            assert usable == [report.n], (e, r)
+            assert report.d == (report.n - 1) * r // step
+            assert report.n <= max(3, r + 3 - e)
 
 
 # Every certifier branch: the line on both sides of its formula domain,

@@ -27,7 +27,6 @@ from tevdeg import (
     make_problem,
     tev_p1_binomial,
 )
-from tevdeg.closed_forms import vtev_projective
 from tevdeg.cli import main, parse_target, run_tev_p1, run_vtev
 
 
@@ -136,6 +135,12 @@ def test_tev_p1_default_method(capsys):
     assert record["outputs"]["value"] == "1"
 
 
+def test_tev_p1_unknown_method_is_a_parse_error():
+    record = run_tev_p1(1, 2, "x")
+    assert (record.status, record.error_kind) == ("error", "TargetParseError")
+    assert record.outputs == {"message": "unknown method 'x'"}
+
+
 def test_tev_p1_underflow_exit(capsys):
     code, out = _run(capsys, ["tev-p1", "--g", "5", "--d", "2"])
     assert code == 4
@@ -182,6 +187,16 @@ def test_qh_check_per_case(capsys):
     assert summary["outputs"]["mismatches"] == "0"
     assert len(records) == int(summary["outputs"]["cases"]) + 1
     assert all(r["outputs"]["agree"] == "true" for r in records[:-1])
+
+
+def test_qh_check_invalid_rank_is_one_record(capsys):
+    code, out = _run(
+        capsys, ["qh-check", "--r", "0", "--g-max", "2", "--d-max", "3", "--json"]
+    )
+    assert code == 2
+    (record,) = _json_records(out)
+    assert record["error_kind"] == "InvalidTarget"
+    assert record["outputs"] == {"message": "projective space needs r >= 1, got 0"}
 
 
 def test_qh_check_asks_only_about_integral_degrees(monkeypatch):
@@ -274,6 +289,40 @@ def test_sweep_workers_below_one_rejected(capsys):
                   "--workers", workers])
         assert exc.value.code == 2
         assert "--workers must be >= 1" in capsys.readouterr().err
+
+
+# one usage error of each kind raised after the subcommand is parsed
+POST_PARSE_USAGE_ERRORS = [
+    (["vtev", "--target", "p:2", "--sweep", "--g-max", "3"],
+     "--sweep needs --g-max and --d-max"),
+    (["tev-p1", "--sweep", "--g-max", "0", "--d-max", "2", "--workers", "0"],
+     "--workers must be >= 1, got 0"),
+    (["certify", "--target", "p:2", "--sweep", "--g-min", "3", "--g-max", "0",
+      "--d-max", "2"],
+     "empty sweep grid: g in [3, 0], d in [1, 2]"),
+    (["qh-check", "--r", "2", "--g-max", "-1", "--d-max", "5"],
+     "empty qh-check grid: g in [0, -1], d in [1, 5]"),
+    (["very-free", "--e", "3", "--r", "8", "--p", "5", "--out", "{missing}"],
+     "cannot open --out {missing}: No such file or directory"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, message", POST_PARSE_USAGE_ERRORS,
+    ids=["window", "workers", "sweep-grid", "qh-check-grid", "out"],
+)
+def test_usage_errors_print_the_subcommands_usage(capsys, tmp_path, argv, message):
+    missing = str(tmp_path / "missing" / "records.jsonl")
+    argv = [arg.replace("{missing}", missing) for arg in argv]
+    message = message.replace("{missing}", missing)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    command = argv[0]
+    assert captured.err.startswith(f"usage: tevdeg {command} ")
+    assert captured.err.splitlines()[-1] == f"tevdeg {command}: error: {message}"
 
 
 @pytest.fixture
@@ -434,6 +483,25 @@ def test_exit_code_per_error_kind(capsys, argv, code, kind):
     assert record["status"] == ("ok" if kind is None else "error")
 
 
+INVALID_TARGETS = {
+    "p:0": "projective space needs r >= 1, got 0",
+    "hyp:0:5": "hypersurface degree must be >= 1, got 0",
+    "hyp:3:0": "hypersurface needs r >= 1, got 0",
+    "gp:0:3": "dimension must be >= 1, got r=0",
+    "custom:5:2:0:1": "s bound must be >= 1, got 0",
+    "custom:5:2:2:3": "s bound cannot be smaller than t bound",
+}
+
+
+@pytest.mark.parametrize("target", INVALID_TARGETS)
+def test_invalid_target_messages(capsys, target):
+    code, out = _run(capsys, ["vtev", "--target", target, "--g", "1", "--d", "2", "--json"])
+    assert code == 2
+    (record,) = _json_records(out)
+    assert record["error_kind"] == "InvalidTarget"
+    assert record["outputs"] == {"message": INVALID_TARGETS[target]}
+
+
 @pytest.mark.parametrize("command", ["vtev", "certify"])
 def test_sweep_records_bad_cells(capsys, command):
     code, out = _run(
@@ -550,8 +618,10 @@ def test_pool_and_fractions_load_only_when_used():
 
 
 def test_qh_check_compares_against_the_closed_form(capsys, monkeypatch):
+    projective = closed_forms._DISPATCH[TargetKind.PROJECTIVE_SPACE]
+
     def wrong_projective(problem):
-        right = vtev_projective(problem)
+        right = projective(problem)
         return dataclasses.replace(right, value=right.value + 1)
 
     monkeypatch.setitem(
@@ -808,7 +878,7 @@ def test_out_path_that_cannot_be_opened_is_a_usage_error(
     captured = capsys.readouterr()
     assert captured.out == ""
     assert [line for line in captured.err.splitlines() if "error:" in line] == [
-        f"tevdeg: error: cannot open --out {path}: No such file or directory"
+        f"tevdeg vtev: error: cannot open --out {path}: No such file or directory"
     ]
     assert not path.parent.exists()
 
@@ -820,6 +890,33 @@ def _env_with_src():
         p for p in (src, env.get("PYTHONPATH")) if p
     )
     return env
+
+
+def _readme_examples():
+    """The `tevdeg ...` lines of the README's "Command line" block, each
+    split into words, with trailing `# comments` dropped."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    text = readme.read_text(encoding="utf-8")
+    block = text.split("## Command line\n", 1)[1].split("Target grammar:", 1)[0]
+    lines = (line.split("#", 1)[0].strip() for line in block.splitlines())
+    return [line.split() for line in lines if line.startswith("tevdeg ")]
+
+
+README_EXAMPLES = _readme_examples()
+
+
+def test_readme_has_command_line_examples():
+    assert len(README_EXAMPLES) >= 5
+
+
+@pytest.mark.parametrize("words", README_EXAMPLES, ids=lambda words: words[1])
+def test_readme_command_line_example_runs(words):
+    run = subprocess.run(
+        [sys.executable, "-m", "tevdeg", *words[1:]],
+        env=_env_with_src(), capture_output=True, text=True, timeout=60,
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stderr == ""
 
 
 @pytest.mark.parametrize(

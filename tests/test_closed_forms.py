@@ -8,15 +8,12 @@ from tevdeg import (
     FormulaKind,
     HypothesisViolation,
     NoKnownFormula,
+    TargetKind,
     TargetSpec,
     WellPosednessError,
-    WrongTargetKind,
     make_problem,
     padic_valuation,
     vtev,
-    vtev_hypersurface,
-    vtev_projective,
-    vtev_quadric,
 )
 
 
@@ -32,24 +29,19 @@ def _product(factorization):
 
 
 def test_projective_space_values():
-    result = vtev_projective(_problem(TargetSpec.projective_space(1), 2, 3))
+    result = vtev(_problem(TargetSpec.projective_space(1), 2, 3))
     assert result.value == 4
     assert result.formula is FormulaKind.PROJECTIVE_SPACE
-    assert vtev_projective(_problem(TargetSpec.projective_space(1), 0, 1)).value == 1
+    assert vtev(_problem(TargetSpec.projective_space(1), 0, 1)).value == 1
     # P^2, g = 3, d = 6: n = 7 and the count is 3^3
-    assert vtev_projective(_problem(TargetSpec.projective_space(2), 3, 6)).value == 27
-
-
-def test_projective_space_wrong_kind():
-    with pytest.raises(WrongTargetKind):
-        vtev_projective(_problem(TargetSpec.quadric(3), 1, 2))
+    assert vtev(_problem(TargetSpec.projective_space(2), 3, 6)).value == 27
 
 
 def test_hypersurface_worked_example():
     # e = 3, r = 7, g = 1, d = 7: n = 6 and
     # (2!)^6 * 6^1 * 3^((7-6)*3 - 1 + 1) = 64 * 6 * 27
     problem = _problem(TargetSpec.hypersurface(3, 7), 1, 7)
-    result = vtev_hypersurface(problem)
+    result = vtev(problem)
     assert problem.n == 6
     assert result.value == 10368
     assert result.value == 64 * 6 * 27
@@ -60,7 +52,7 @@ def test_hypersurface_worked_example():
 def test_hypersurface_genus_zero_example():
     # e = 3, r = 3, g = 0, d = 3: n = 3 and (2!)^3 * 2^0 * 3^1 = 24
     problem = _problem(TargetSpec.hypersurface(3, 3), 0, 3)
-    result = vtev_hypersurface(problem)
+    result = vtev(problem)
     assert problem.n == 3
     assert result.value == 24
 
@@ -68,31 +60,26 @@ def test_hypersurface_genus_zero_example():
 def test_hypersurface_dimension_boundary():
     # r = 2e - 3 is allowed ...
     problem = _problem(TargetSpec.hypersurface(4, 5), 0, 5)
-    result = vtev_hypersurface(problem)
+    result = vtev(problem)
     assert result.value == _product(result.factorization)
     # ... r = 2e - 4 is not
     with pytest.raises(HypothesisViolation):
-        vtev_hypersurface(_problem(TargetSpec.hypersurface(4, 4), 0, 4))
-
-
-def test_hypersurface_wrong_kind():
-    with pytest.raises(WrongTargetKind):
-        vtev_hypersurface(_problem(TargetSpec.projective_space(3), 1, 3))
+        vtev(_problem(TargetSpec.hypersurface(4, 4), 0, 4))
 
 
 def test_quadric_values():
     quadric3 = TargetSpec.quadric(3)
     # ((2*3)^1 + (-1)^d * 2^1) / 2 for d = 2, 3
-    assert vtev_quadric(_problem(quadric3, 1, 2)).value == 4
-    assert vtev_quadric(_problem(quadric3, 1, 3)).value == 2
+    assert vtev(_problem(quadric3, 1, 2)).value == 4
+    assert vtev(_problem(quadric3, 1, 3)).value == 2
     # even dimension, genus 0, odd degree: (1 - 1) / 2 = 0
-    assert vtev_quadric(_problem(TargetSpec.quadric(4), 0, 3)).value == 0
+    assert vtev(_problem(TargetSpec.quadric(4), 0, 3)).value == 0
 
 
 def test_quadric_delta_depends_on_parity():
     # r = 5: delta = 1; r = 6: delta = 2; both at g = 2, even d
-    assert vtev_quadric(_problem(TargetSpec.quadric(5), 2, 4)).value == (100 + 4) // 2
-    assert vtev_quadric(_problem(TargetSpec.quadric(6), 2, 4)).value == (144 + 16) // 2
+    assert vtev(_problem(TargetSpec.quadric(5), 2, 4)).value == (100 + 4) // 2
+    assert vtev(_problem(TargetSpec.quadric(6), 2, 4)).value == (144 + 16) // 2
 
 
 def test_quadric_consecutive_degrees_pair_up():
@@ -100,8 +87,8 @@ def test_quadric_consecutive_degrees_pair_up():
         target = TargetSpec.quadric(r)
         for g in range(0, 7):
             d = max(1, g - 1, 2 - g)
-            first = vtev_quadric(_problem(target, g, d)).value
-            second = vtev_quadric(_problem(target, g, d + 1)).value
+            first = vtev(_problem(target, g, d)).value
+            second = vtev(_problem(target, g, d + 1)).value
             assert first + second == (2 * r) ** g, (r, g, d)
 
 
@@ -110,6 +97,21 @@ def test_dispatch_covers_all_formula_kinds():
     assert vtev(_problem(TargetSpec.quadric(6), 2, 4)).value == 80
     hyp = vtev(_problem(TargetSpec.hypersurface(3, 7), 1, 7))
     assert hyp.formula is FormulaKind.HYPERSURFACE
+
+
+def test_formula_hypotheses_hold_for_targets_built_field_by_field():
+    # the constructor accepts any e and r for a kind, so each formula
+    # still checks its own hypotheses
+    cases = [
+        (TargetSpec(TargetKind.HYPERSURFACE, r=5, e=2, index=5),
+         "hypersurface formula needs e >= 3, got 2"),
+        (TargetSpec(TargetKind.QUADRIC, r=2, e=2, index=2),
+         "quadric formula needs r >= 3, got 2"),
+    ]
+    for target, message in cases:
+        with pytest.raises(HypothesisViolation) as exc:
+            vtev(make_problem(target, 1, 2))
+        assert str(exc.value) == message
 
 
 def test_dispatch_rejects_targets_without_formulas():
@@ -142,7 +144,7 @@ def test_hypersurface_counts_avoid_large_primes():
                     problem = make_problem(target, g, d)
                 except WellPosednessError:
                     continue
-                value = vtev_hypersurface(problem).value
+                value = vtev(problem).value
                 for p in (11, 13, 101):
                     if (r + 2 - e) % p == 0:
                         continue

@@ -227,6 +227,63 @@ def test_tev_problem_rejects_inconsistent_n():
         TevProblem(target=target, g=2, d=3, n=4)
 
 
+def test_tev_problem_rejects_what_make_problem_rejects():
+    # a negative n and a negative genus, each with the forced n
+    with pytest.raises(NegativeN):
+        TevProblem(TargetSpec.hypersurface(3, 7), 10, 7, -3)
+    with pytest.raises(DomainError, match="genus must be >= 0, got -1"):
+        TevProblem(TargetSpec.projective_space(1), -1, 2, 6)
+
+
+DIRECT_TARGETS = [TargetSpec.projective_space(r) for r in range(1, 5)] + [
+    TargetSpec.hypersurface(3, 7),
+    TargetSpec.hypersurface(4, 6),
+    TargetSpec.quadric(5),
+]
+
+
+def _outcome(build):
+    try:
+        return build()
+    except TevError as exc:
+        return type(exc), str(exc)
+
+
+def test_direct_construction_with_the_forced_n_matches_make_problem():
+    cells = 0
+    kinds = set()
+    for target in DIRECT_TARGETS:
+        r = target.r
+        for g in range(-2, 13):
+            for d in range(-1, 31):
+                numerator = (1 - g) * r + d * target.index
+                if numerator % r:
+                    continue
+                n = numerator // r
+                cells += 1
+                direct = _outcome(lambda: TevProblem(target, g, d, n))
+                assert direct == _outcome(lambda: make_problem(target, g, d))
+                if isinstance(direct, TevProblem):
+                    assert type(tevdeg.vtev(direct).value) is int
+                    kinds.add("ok")
+                else:
+                    kinds.add(direct[0].__name__)
+                # any other n breaks the dimension constraint
+                if g >= 0 and d >= 1:
+                    with pytest.raises(
+                        DomainError, match="dimension constraint violated"
+                    ):
+                        TevProblem(target, g, d, n + 1)
+    assert cells == 1725
+    assert kinds == {"ok", "DomainError", "NegativeN", "UnstableRange"}
+
+
+def test_field_built_target_rejects_degree_below_one():
+    with pytest.raises(InvalidTarget) as exc:
+        TargetSpec(TargetKind.CUSTOM, r=3, e=0, index=2)
+    assert str(exc.value) == "degree must be >= 1, got e=0"
+
+
 def test_projective_space_invariants():
     target = TargetSpec.projective_space(4)
     assert target.kind is TargetKind.PROJECTIVE_SPACE
