@@ -9,26 +9,30 @@ Target grammar:
     custom:<r>:<I>[:<s>:<t>[:<e1,e2,...>]]   asserted rank-1 Fano target
 
 Subcommands: vtev, tev-p1, qh-check, certify, very-free. Each run
-emits one record per computation; `--json` switches to
-newline-delimited JSON objects with every number serialized as a
-decimal string, so arbitrarily large values survive any JSON parser.
-`main` lifts Python's 4300-digit limit on int-to-str conversion while
-it runs, in pool workers too, and restores the caller's limit on
-return.
+emits one record per computation, written to stdout or `--out` as
+soon as it is computed, so a sweep holds one record at a time and an
+interrupted run leaves the records written so far in `--out`.
+`--json` switches to newline-delimited JSON objects with every number
+serialized as a decimal string, so arbitrarily large values survive
+any JSON parser. `main` lifts Python's 4300-digit limit on int-to-str
+conversion while it runs, in pool workers too, and restores the
+caller's limit on return.
 `--sweep` iterates a rectangular (g, d) grid, one record per cell in
 lexicographic order. A point (`--g`, `--d`) runs as the one-cell grid
 (g, g, d, d) on the same path. `--workers N` is an upper bound: a
 sweep may fan its cells out over a pool of up to N processes (never
-more than it has cells) without changing the output. A Schubert sweep
-(`tev-p1 --method schubert|both`) always uses the pool. A closed-form
-sweep (`vtev`, `certify`, `tev-p1 --method binomial`) runs in this
-process unless max(g_max, d_max) * r * e, a bound on the size of its
-largest value, reaches `POOL_MIN_SIZE`: below that a cell costs less
-than the pool's start-up. The pool (and multiprocessing with it) is
-imported only when a sweep uses it, so single points and serial sweeps
-start faster.
+more than it has cells or the machine has CPUs) without changing the
+output. A Schubert sweep (`tev-p1 --method schubert|both`) always
+uses the pool. A closed-form sweep (`vtev`, `certify`, `tev-p1
+--method binomial`) runs in this process unless max(g_max, d_max) *
+r * e, a bound on the size of its largest value, reaches
+`POOL_MIN_SIZE`: below that a cell costs less than the pool's
+start-up. The pool (and multiprocessing with it) is imported only
+when a sweep uses it, so single points and serial sweeps start
+faster.
 
-Exit codes: 0 ok, 1 stdout closed early (a broken pipe), 2 parse or
+Exit codes: 0 ok, 1 stdout closed early (a broken pipe, as in
+`| head`: a serial sweep stops at its first failed write), 2 parse or
 usage error (an empty sweep or qh-check grid is one, and so are an
 `--out` path that cannot be opened and mixing point flags `--g`/`--d`
 with grid flags `--sweep`/`--g-max`/`--d-max`/`--g-min`/`--d-min`/
@@ -43,9 +47,11 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import itertools
 import json
 import os
 import sys
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -350,16 +356,16 @@ def _pool_pays(args, g_max: int, d_max: int) -> bool:
     return _size_proxy(r, e, g_max, d_max) >= POOL_MIN_SIZE
 
 
-def _sweep(cell_fn, args, window) -> list[RunRecord]:
-    """The window's records in lexicographic order; a point's one-cell
-    window caps the workers at 1, so it never weighs a pool."""
+def _sweep(cell_fn, args, window) -> Iterator[RunRecord]:
+    """The window's records in lexicographic order, yielded one at a
+    time; a point's one-cell window caps the workers at 1, so it never
+    weighs a pool."""
     g_min, g_max, d_min, d_max = window
-    cells = [
-        (g, d)
-        for g in range(g_min, g_max + 1)
-        for d in range(d_min, d_max + 1)
-    ]
-    workers = min(1 if args.workers is None else args.workers, len(cells))
+    cells = itertools.product(range(g_min, g_max + 1), range(d_min, d_max + 1))
+    count = (g_max - g_min + 1) * (d_max - d_min + 1)
+    # a pool starts all its processes at once; more than the CPUs only
+    # add start-up and memory (args.workers is None or >= 1)
+    workers = min(args.workers or 1, count, os.cpu_count() or 1)
     if workers > 1 and _pool_pays(args, g_max, d_max):
         # imported here: the pool pulls in multiprocessing, which a
         # serial run never needs
@@ -367,7 +373,7 @@ def _sweep(cell_fn, args, window) -> list[RunRecord]:
 
         # a few chunks per worker: cheap cells amortize the pickle round
         # trip, and uneven cells still leave no worker idle for long
-        chunksize = max(1, len(cells) // (4 * workers))
+        chunksize = max(1, count // (4 * workers))
         # a worker that does not inherit main's lifted digit limit
         # (any start method but fork) lifts it for itself
         with ProcessPoolExecutor(
@@ -375,8 +381,9 @@ def _sweep(cell_fn, args, window) -> list[RunRecord]:
             initializer=sys.set_int_max_str_digits,
             initargs=(0,),
         ) as pool:
-            return list(pool.map(cell_fn, cells, chunksize=chunksize))
-    return [cell_fn(cell) for cell in cells]
+            yield from pool.map(cell_fn, cells, chunksize=chunksize)
+    else:
+        yield from map(cell_fn, cells)
 
 
 def render_table(record: RunRecord) -> str:
@@ -398,12 +405,6 @@ def render_json(record: RunRecord) -> str:
     return json.dumps(record.to_dict())
 
 
-def _render_all(records: list[RunRecord], as_json: bool) -> str:
-    if as_json:
-        return "\n".join(render_json(r) for r in records)
-    return "\n\n".join(render_table(r) for r in records)
-
-
 _INT = {"type": int}
 _REQUIRED_INT = {"type": int, "required": True}
 _TARGET = ("--target", {"required": True})
@@ -421,9 +422,9 @@ _CELL_FLAGS = (
     ("--d-max", _INT),
     ("--workers", {"type": int, "help": (
         "most processes a sweep may use (>= 1, capped at the cell "
-        "count, default 1); Schubert sweeps use them, closed-form sweeps "
-        f"only once max(g_max, d_max) * r * e reaches {POOL_MIN_SIZE}; "
-        "output is unchanged"
+        "count and the CPU count, default 1); Schubert sweeps use them, "
+        "closed-form sweeps only once max(g_max, d_max) * r * e reaches "
+        f"{POOL_MIN_SIZE}; output is unchanged"
     )}),
 )
 _OUTPUT_FLAGS = (
@@ -464,17 +465,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _exit_code(records: list[RunRecord], swept: bool) -> int:
-    """0 unless a single record failed; then the `exit_code` of the
-    error class its `error_kind` names."""
-    if swept or len(records) != 1:
-        return 0
-    record = records[0]
-    if record.status == "ok":
-        return 0
-    return getattr(errors, record.error_kind).exit_code
-
-
 def _window(parser: argparse.ArgumentParser, args) -> tuple[int, int, int, int]:
     """The (g_min, g_max, d_min, d_max) window of a cell command: the
     point `--g`, `--d` is the one-cell window (g, g, d, d), and a sweep's
@@ -493,18 +483,13 @@ def _window(parser: argparse.ArgumentParser, args) -> tuple[int, int, int, int]:
         parser.error("--sweep needs --g-max and --d-max")
     g_min = 0 if args.g_min is None else args.g_min
     d_min = 1 if args.d_min is None else args.d_min
-    _reject_empty_grid(parser, "sweep grid", g_min, args.g_max, d_min, args.d_max)
-    return g_min, args.g_max, d_min, args.d_max
+    window = g_min, args.g_max, d_min, args.d_max
+    _reject_empty_grid(parser, "sweep grid", window)
+    return window
 
 
-def _reject_empty_grid(
-    parser: argparse.ArgumentParser,
-    what: str,
-    g_min: int,
-    g_max: int,
-    d_min: int,
-    d_max: int,
-) -> None:
+def _reject_empty_grid(parser: argparse.ArgumentParser, what: str, window) -> None:
+    g_min, g_max, d_min, d_max = window
     if g_min > g_max or d_min > d_max:
         parser.error(
             f"empty {what}: g in [{g_min}, {g_max}], d in [{d_min}, {d_max}]"
@@ -547,23 +532,36 @@ def _main(argv) -> int:
         cell_fn = partial(_run_cell, args.command, option)
         run = partial(_sweep, cell_fn, args, _window(parser, args))
     elif args.command == "qh-check":
-        _reject_empty_grid(parser, "qh-check grid", 0, args.g_max, 1, args.d_max)
+        _reject_empty_grid(parser, "qh-check grid", (0, args.g_max, 1, args.d_max))
         run = partial(run_qh_check, args.r, args.g_max, args.d_max, args.per_case)
     else:
         def run():
             return [run_very_free(args.e, args.r, args.p)]
 
+    render = render_json if args.json else render_table
+    separator = "\n" if args.json else "\n\n"
+    written = 0
     with _open_output(parser, args.out) as stream:
-        records = run()
         try:
-            print(_render_all(records, args.json), file=stream)
+            # each record is written as its cell finishes: a sweep holds
+            # one at a time, and a serial one stops at a failed write
+            for record in run():
+                if written:
+                    stream.write(separator)
+                stream.write(render(record))
+                written += 1
+            stream.write("\n")
             stream.flush()  # a closed pipe raises here, not at exit
         except BrokenPipeError:
             # the reader left early (`| head`); as in Python's SIGPIPE
             # note, point stdout at devnull so the final flush is silent
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
             return 1
-    return _exit_code(records, swept)
+    # 0 unless a single record of a point, qh-check or very-free run
+    # failed; then the `exit_code` of the error class it names
+    if swept or written != 1 or record.status == "ok":
+        return 0
+    return getattr(errors, record.error_kind).exit_code
 
 
 if __name__ == "__main__":

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import concurrent.futures
 import contextlib
 import dataclasses
@@ -9,8 +10,11 @@ import hashlib
 import json
 import os
 import re
+import signal
 import subprocess
 import sys
+import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -327,7 +331,9 @@ def test_usage_errors_print_the_subcommands_usage(capsys, tmp_path, argv, messag
 
 @pytest.fixture
 def pool_sizes(monkeypatch):
-    """The `max_workers` of every process pool a sweep constructs."""
+    """The `max_workers` of every process pool a sweep constructs, on a
+    host that claims 8 CPUs, so the CPU cap never binds unless a test
+    lowers it."""
     sizes = []
 
     class RecordingPool(concurrent.futures.ProcessPoolExecutor):
@@ -337,6 +343,7 @@ def pool_sizes(monkeypatch):
 
     # `_sweep` imports the pool class when it needs one
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
     return sizes
 
 
@@ -346,6 +353,19 @@ def test_sweep_workers_capped_at_cell_count(capsys, pool_sizes):
     code, serial = _run(capsys, argv)
     assert code == 0 and pool_sizes == []
     code, pooled = _run(capsys, argv + ["--workers", "3"])
+    assert code == 0
+    assert pool_sizes == [2]
+    assert pooled == serial
+
+
+def test_sweep_workers_capped_at_cpu_count(capsys, monkeypatch, pool_sizes):
+    # a pool starts every one of its processes at its first task
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    argv = ["tev-p1", "--sweep", "--g-max", "1", "--d-max", "3",
+            "--method", "both", "--json"]
+    code, serial = _run(capsys, argv)
+    assert code == 0 and pool_sizes == []
+    code, pooled = _run(capsys, argv + ["--workers", "64"])
     assert code == 0
     assert pool_sizes == [2]
     assert pooled == serial
@@ -699,6 +719,7 @@ def test_spawned_workers_lift_the_digit_limit(capsys, monkeypatch):
             super().__init__(max_workers, **kwargs)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SpawnPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
     code, out = _run(
         capsys,
         ["vtev", "--target", "p:2", "--sweep", "--g-min", "9012", "--g-max",
@@ -748,7 +769,7 @@ def test_sweep_only_flags_without_sweep_are_a_usage_error(capsys, command, flag)
 
 
 def test_readme_lists_the_sweep_only_flags_as_usage_errors():
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    readme = README.read_text(encoding="utf-8")
     usage = readme[readme.index("These are usage errors"):]
     usage = usage[:usage.index("\n\n")]
     for flag in ("--g-min", "--d-min", "--workers"):
@@ -767,13 +788,20 @@ EXIT_CODES = {
 
 
 @pytest.mark.parametrize("name", tevdeg.errors.__all__)
-def test_every_error_class_has_its_exit_code(name):
+def test_every_error_class_has_its_exit_code(capsys, monkeypatch, name):
     cls = getattr(tevdeg.errors, name)
     assert cls.exit_code == EXIT_CODES.get(name, 4)
-    # a single failed record exits with its error class's code
-    record = cli._fail(cli.RunRecord("vtev", {}), cls("message"))
-    assert cli._exit_code([record], swept=False) == cls.exit_code
-    assert cli._exit_code([record], swept=True) == 0
+
+    def failed(target, g, d):
+        return cli._fail(cli.RunRecord("vtev", {}), cls("message"))
+
+    # a point whose one record failed exits with its error class's
+    # code; the one-cell sweep of the same record exits 0
+    monkeypatch.setattr(cli, "run_vtev", failed)
+    assert main(["vtev", "--target", "p:2", "--g", "1", "--d", "2"]) == cls.exit_code
+    assert main(["vtev", "--target", "p:2", "--sweep", "--g-min", "1",
+                 "--g-max", "1", "--d-min", "2", "--d-max", "2"]) == 0
+    assert capsys.readouterr().out.count(f"err  {name}") == 2
 
 
 HELP_FLAGS = {
@@ -892,11 +920,13 @@ def _env_with_src():
     return env
 
 
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
 def _readme_examples():
     """The `tevdeg ...` lines of the README's "Command line" block, each
     split into words, with trailing `# comments` dropped."""
-    readme = Path(__file__).resolve().parents[1] / "README.md"
-    text = readme.read_text(encoding="utf-8")
+    text = README.read_text(encoding="utf-8")
     block = text.split("## Command line\n", 1)[1].split("Target grammar:", 1)[0]
     lines = (line.split("#", 1)[0].strip() for line in block.splitlines())
     return [line.split() for line in lines if line.startswith("tevdeg ")]
@@ -919,6 +949,34 @@ def test_readme_command_line_example_runs(words):
     assert run.stderr == ""
 
 
+def _readme_library_lines():
+    """(code, comment) for each line of the README's "Library" block."""
+    text = README.read_text(encoding="utf-8")
+    block = text.split("## Library\n", 1)[1].split("```python\n", 1)[1]
+    block = block.split("```", 1)[0]
+    return [
+        (code.strip(), comment.strip())
+        for code, _, comment in (line.partition("#") for line in block.splitlines())
+        if code.strip()
+    ]
+
+
+def test_readme_library_example_states_true_values():
+    # each expression line's comment starts with the repr of its value
+    namespace = {}
+    stated = []
+    for code, comment in _readme_library_lines():
+        (node,) = ast.parse(code).body
+        if not isinstance(node, ast.Expr):
+            exec(code, namespace)
+            continue
+        value = repr(eval(code, namespace))
+        assert re.match(re.escape(value) + r"(?!\w)", comment), (code, comment)
+        stated.append(value)
+    assert stated == ["10368", "((2, 6), (6, 1), (3, 3))", "6", "27", "81",
+                      "8", "8", "'NotEnumerative'"]
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -926,18 +984,100 @@ def test_readme_command_line_example_runs(words):
         ["vtev", "--target", "p:2", "--sweep", "--g-max", "40", "--d-max", "60", "--json"],
         # one short record stays buffered: only the flush fails
         ["very-free", "--e", "3", "--r", "8", "--p", "5"],
+        # a pooled sweep: the write fails while the workers still run
+        ["tev-p1", "--method", "both", "--sweep", "--g-max", "12", "--d-max", "12",
+         "--workers", "2", "--json"],
     ],
 )
 def test_closed_stdout_pipe_exits_1_without_a_traceback(argv):
+    # a session of its own, so the run and its pool workers form one
+    # process group that can be checked, and killed, as a whole
     proc = subprocess.Popen(
         [sys.executable, "-m", "tevdeg", *argv],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_env_with_src(),
+        start_new_session=True,
     )
     # the reader is gone before the interpreter has even started, so the
     # first write to stdout meets a broken pipe
     proc.stdout.close()
-    with proc:
-        err = proc.stderr.read().decode()
-        assert proc.wait(timeout=60) == 1
-    assert "Traceback" not in err
-    assert "Exception ignored" not in err
+    try:
+        # a worker left running keeps stderr open, so this times out
+        _, err = proc.communicate(timeout=60)
+        assert proc.returncode == 1
+        assert "Traceback" not in err.decode()
+        assert "Exception ignored" not in err.decode()
+        assert _group_exits(proc.pid), "a process of the run outlived it"
+    finally:
+        with contextlib.suppress(ProcessLookupError):
+            os.killpg(proc.pid, signal.SIGKILL)
+        proc.wait()
+
+
+def _group_exits(pgid, timeout=5.0):
+    """Whether every process of group `pgid` is gone within `timeout` s."""
+    deadline = time.monotonic() + timeout
+    while True:
+        try:
+            os.killpg(pgid, 0)
+        except ProcessLookupError:
+            return True
+        if time.monotonic() > deadline:
+            return False
+        time.sleep(0.05)
+
+
+class _Sink:
+    """A stdout stand-in that counts the characters written to it; its
+    `fail_at`-th write raises BrokenPipeError, as a closed pipe does."""
+
+    def __init__(self, fd=None, fail_at=None):
+        self.fd, self.fail_at = fd, fail_at
+        self.writes = self.size = 0
+
+    def write(self, text):
+        self.writes += 1
+        if self.writes == self.fail_at:
+            raise BrokenPipeError
+        self.size += len(text)
+        return len(text)
+
+    def flush(self):
+        pass
+
+    def fileno(self):
+        return self.fd
+
+
+def test_a_sweep_holds_one_record_at_a_time(monkeypatch):
+    # records go to the stream as their cells finish, so memory stays
+    # far below the size of the output instead of growing with it
+    sink = _Sink()
+    monkeypatch.setattr(sys, "stdout", sink)
+    tracemalloc.start()
+    try:
+        code = main(["vtev", "--target", "hyp:3:7", "--sweep", "--g-max", "60",
+                     "--d-max", "120", "--json"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert sink.size > 1_800_000
+    assert peak < sink.size / 2
+
+
+def test_a_failed_write_stops_a_serial_sweep(monkeypatch, tmp_path):
+    cells = []
+
+    def counted(target, g, d):
+        cells.append((g, d))
+        return run_vtev(target, g, d)
+
+    monkeypatch.setattr(cli, "run_vtev", counted)
+    # the broken-pipe handler points the stream's descriptor at
+    # devnull; here that descriptor is a scratch file's
+    with open(tmp_path / "stdout", "w") as scratch:
+        monkeypatch.setattr(sys, "stdout", _Sink(scratch.fileno(), fail_at=3))
+        code = main(["vtev", "--target", "p:2", "--sweep", "--g-max", "20",
+                     "--d-max", "20", "--json"])
+    assert code == 1
+    assert 1 <= len(cells) <= 3
