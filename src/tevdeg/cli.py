@@ -10,8 +10,9 @@ Target grammar:
 
 Subcommands: vtev, tev-p1, qh-check, certify, very-free. Each run
 emits one record per computation, written to stdout or `--out` as
-soon as it is computed, so a sweep holds one record at a time and an
-interrupted run leaves the records written so far in `--out`.
+soon as it is computed, so a sweep (or `qh-check --per-case`) holds
+one record at a time and an interrupted run leaves the records
+written so far in `--out`.
 `--json` switches to newline-delimited JSON objects with every number
 serialized as a decimal string, so arbitrarily large values survive
 any JSON parser. `main` lifts Python's 4300-digit limit on int-to-str
@@ -32,14 +33,14 @@ when a sweep uses it, so single points and serial sweeps start
 faster.
 
 Exit codes: 0 ok, 1 stdout closed early (a broken pipe, as in
-`| head`: a serial sweep stops at its first failed write), 2 parse or
-usage error (an empty sweep or qh-check grid is one, and so are an
-`--out` path that cannot be opened and mixing point flags `--g`/`--d`
-with grid flags `--sweep`/`--g-max`/`--d-max`/`--g-min`/`--d-min`/
-`--workers`), 3 well-posedness error, 4 hypothesis or
-formula-domain violation. A failed record's code is the `exit_code`
-of its error class, defined once in `errors`.
-Sweeps exit 0 as long as the sweep itself runs; per-cell failures are
+`| head`: a serial sweep or `qh-check --per-case` stops at its first
+failed write), 2 parse or usage error (an empty sweep or qh-check
+grid is one, and so are an `--out` path that cannot be opened and
+mixing point flags `--g`/`--d` with grid flags `--sweep`/`--g-max`/
+`--d-max`/`--g-min`/`--d-min`/`--workers`), 3 well-posedness error,
+4 hypothesis or formula-domain violation. A failed record's code is
+the `exit_code` of its error class, defined once in `errors`. Sweeps
+exit 0 as long as the sweep itself runs; per-cell failures are
 encoded in the records.
 """
 
@@ -199,7 +200,13 @@ def run_qh_check(
     r: int, g_max: int, d_max: int, per_case: bool = False
 ) -> list[RunRecord]:
     """Sweep well-posed (g, d) for P^r and compare the ring evaluation
-    against the closed form; the summary record comes last.
+    against the closed form; the summary record comes last."""
+    return list(_qh_check(r, g_max, d_max, per_case))
+
+
+def _qh_check(r: int, g_max: int, d_max: int, per_case: bool) -> Iterator[RunRecord]:
+    """`run_qh_check`'s records, each per-case one yielded as its cell
+    finishes, so `qh-check --per-case` holds one record at a time.
 
     One `PowerTable` serves the whole grid, so the handle and each
     power of the point class and of the handle are computed once.
@@ -210,15 +217,14 @@ def run_qh_check(
         "qh-check",
         {"r": str(r), "g_max": str(g_max), "d_max": str(d_max)},
     )
-    records: list[RunRecord] = []
     try:
         target = TargetSpec.projective_space(r)
     except TevError as exc:
-        return [_fail(summary, exc)]
+        yield _fail(summary, exc)
+        return
     powers = PowerTable(r)
     step = degree_step(target)
-    cases = 0
-    mismatches = 0
+    cases = mismatches = 0
     for g in range(g_max + 1):
         for d in range(step, d_max + 1, step):
             try:
@@ -232,22 +238,19 @@ def run_qh_check(
             if not agree:
                 mismatches += 1
             if per_case:
-                records.append(
-                    RunRecord(
-                        "qh-check",
-                        {"r": str(r), "g": str(g), "d": str(d)},
-                        {
-                            "ring": str(ring_value),
-                            "closed_form": str(closed_value),
-                            "agree": _bool(agree),
-                        },
-                        ["quantum ring evaluation vs closed form"],
-                    )
+                yield RunRecord(
+                    "qh-check",
+                    {"r": str(r), "g": str(g), "d": str(d)},
+                    {
+                        "ring": str(ring_value),
+                        "closed_form": str(closed_value),
+                        "agree": _bool(agree),
+                    },
+                    ["quantum ring evaluation vs closed form"],
                 )
     summary.outputs = {"cases": str(cases), "mismatches": str(mismatches)}
     summary.citations = ["quantum ring evaluation vs closed form"]
-    records.append(summary)
-    return records
+    yield summary
 
 
 def _format_check(check: Check) -> str:
@@ -533,7 +536,7 @@ def _main(argv) -> int:
         run = partial(_sweep, cell_fn, args, _window(parser, args))
     elif args.command == "qh-check":
         _reject_empty_grid(parser, "qh-check grid", (0, args.g_max, 1, args.d_max))
-        run = partial(run_qh_check, args.r, args.g_max, args.d_max, args.per_case)
+        run = partial(_qh_check, args.r, args.g_max, args.d_max, args.per_case)
     else:
         def run():
             return [run_very_free(args.e, args.r, args.p)]
@@ -555,7 +558,8 @@ def _main(argv) -> int:
         except BrokenPipeError:
             # the reader left early (`| head`); as in Python's SIGPIPE
             # note, point stdout at devnull so the final flush is silent
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            with open(os.devnull, "w") as devnull:
+                os.dup2(devnull.fileno(), sys.stdout.fileno())
             return 1
     # 0 unless a single record of a point, qh-check or very-free run
     # failed; then the `exit_code` of the error class it names

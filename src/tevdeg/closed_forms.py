@@ -10,13 +10,14 @@ forced number n of general points:
     quadric, r >= 3           ((2r)^g + (-1)^d (2 delta)^g) / 2
                               delta = 1 for odd r, 2 for even r
 
-Every result carries a factorization hint whose product re-multiplies
-to the value, so downstream valuation work never has to factor the
-(possibly enormous) integer.
+Each private evaluator below returns its formula's (base, exponent)
+factors, and `vtev` alone multiplies them, so a result's factorization
+hint re-multiplies to its value by construction and downstream
+valuation work never has to factor the (possibly enormous) integer.
 
 `vtev` is the only entry: it picks the formula by the target's kind,
-so each private evaluator below sees only its own kind. They still
-check the hypotheses of their formula (e >= 3 and r >= 2e - 3 for
+so each evaluator sees only its own kind. They still check the
+hypotheses of their formula (e >= 3 and r >= 2e - 3 for
 hypersurfaces, r >= 3 for quadrics), because a `TargetSpec` built
 field by field can carry any e and r.
 """
@@ -54,24 +55,18 @@ class VTevResult:
     factorization: tuple[tuple[int, int], ...]
 
 
-def _projective(problem: TevProblem) -> VTevResult:
-    """Virtual count for P^r: (r + 1)^g."""
-    base = problem.target.r + 1
-    return VTevResult(
-        value=base ** problem.g,
-        problem=problem,
-        formula=FormulaKind.PROJECTIVE_SPACE,
-        factorization=((base, problem.g),),
-    )
+def _projective(problem: TevProblem) -> tuple[tuple[int, int], ...]:
+    """Factors for P^r: (r + 1)^g."""
+    return ((problem.target.r + 1, problem.g),)
 
 
-def _hypersurface(problem: TevProblem) -> VTevResult:
-    """Virtual count for a degree-e hypersurface with e >= 3, r >= 2e - 3.
+def _hypersurface(problem: TevProblem) -> tuple[tuple[int, int], ...]:
+    """Factors for a degree-e hypersurface, e >= 3 and r >= 2e - 3:
+    ((e-1)!)^n * (r+2-e)^g * e^((d-n)e - g + 1).
 
-    The value is ((e-1)!)^n * (r+2-e)^g * e^((d-n)e - g + 1). For any
-    well-posed problem the last exponent works out to
-    (e-1)(g-1) + d*e*(e-2)/r >= 0, but the guard stays: the formula is
-    only quoted with a nonnegative exponent.
+    Only a field-built `TargetSpec` reaches the NegativeExponent guard:
+    for `TargetSpec.hypersurface`, d is a multiple of r/gcd(e-2, r), so
+    the last exponent (e-1)(g-1) + d*e*(e-2)/r is at least 1.
     """
     e, r = problem.target.e, problem.target.r
     if e < 3:
@@ -86,18 +81,11 @@ def _hypersurface(problem: TevProblem) -> VTevResult:
         raise NegativeExponent(
             f"exponent (d-n)e - g + 1 = {exponent} is negative"
         )
-    fact = factorial(e - 1)
-    index = r + 2 - e
-    return VTevResult(
-        value=fact ** n * index ** g * e ** exponent,
-        problem=problem,
-        formula=FormulaKind.HYPERSURFACE,
-        factorization=((fact, n), (index, g), (e, exponent)),
-    )
+    return ((factorial(e - 1), n), (r + 2 - e, g), (e, exponent))
 
 
-def _quadric(problem: TevProblem) -> VTevResult:
-    """Virtual count for a quadric of dimension r >= 3.
+def _quadric(problem: TevProblem) -> tuple[tuple[int, int], ...]:
+    """The count for a quadric of dimension r >= 3, as ((value, 1),).
 
     ((2r)^g + (-1)^d (2 delta)^g) / 2 with delta = 1 for odd r and 2
     for even r; the numerator is always even, so the division is exact.
@@ -110,19 +98,13 @@ def _quadric(problem: TevProblem) -> VTevResult:
     numerator = (2 * r) ** g + sign * (2 * delta) ** g
     if numerator % 2:
         raise ArithmeticError(f"quadric numerator {numerator} is odd")
-    value = numerator // 2
-    return VTevResult(
-        value=value,
-        problem=problem,
-        formula=FormulaKind.QUADRIC,
-        factorization=((value, 1),),
-    )
+    return ((numerator // 2, 1),)
 
 
 _DISPATCH = {
-    TargetKind.PROJECTIVE_SPACE: _projective,
-    TargetKind.HYPERSURFACE: _hypersurface,
-    TargetKind.QUADRIC: _quadric,
+    TargetKind.PROJECTIVE_SPACE: (FormulaKind.PROJECTIVE_SPACE, _projective),
+    TargetKind.HYPERSURFACE: (FormulaKind.HYPERSURFACE, _hypersurface),
+    TargetKind.QUADRIC: (FormulaKind.QUADRIC, _quadric),
 }
 
 
@@ -130,11 +112,17 @@ def vtev(problem: TevProblem) -> VTevResult:
     """The closed-form virtual count of a well-posed problem.
 
     The only entry to the closed forms: it dispatches on the target's
-    kind and raises NoKnownFormula for a kind without one.
+    kind, raises NoKnownFormula for a kind without one, and is the one
+    place that multiplies an evaluator's factors into the value.
     """
-    evaluator = _DISPATCH.get(problem.target.kind)
-    if evaluator is None:
+    entry = _DISPATCH.get(problem.target.kind)
+    if entry is None:
         raise NoKnownFormula(
             f"no closed form for {problem.target.describe()}"
         )
-    return evaluator(problem)
+    formula, evaluator = entry
+    factors = evaluator(problem)
+    value = 1
+    for base, exp in factors:
+        value *= base ** exp
+    return VTevResult(value, problem, formula, factors)

@@ -638,15 +638,13 @@ def test_pool_and_fractions_load_only_when_used():
 
 
 def test_qh_check_compares_against_the_closed_form(capsys, monkeypatch):
-    projective = closed_forms._DISPATCH[TargetKind.PROJECTIVE_SPACE]
+    vtev = cli.vtev
 
-    def wrong_projective(problem):
-        right = projective(problem)
-        return dataclasses.replace(right, value=right.value + 1)
+    def wrong_vtev(problem):
+        result = vtev(problem)
+        return dataclasses.replace(result, value=result.value + 1)
 
-    monkeypatch.setitem(
-        closed_forms._DISPATCH, TargetKind.PROJECTIVE_SPACE, wrong_projective
-    )
+    monkeypatch.setattr(cli, "vtev", wrong_vtev)
     code, out = _run(
         capsys,
         ["qh-check", "--r", "2", "--g-max", "3", "--d-max", "8", "--json"],
@@ -1081,3 +1079,38 @@ def test_a_failed_write_stops_a_serial_sweep(monkeypatch, tmp_path):
                      "--d-max", "20", "--json"])
     assert code == 1
     assert 1 <= len(cells) <= 3
+
+
+def test_qh_check_per_case_holds_one_record_at_a_time(monkeypatch):
+    # each per-case record is written as its cell finishes, not held
+    # until the summary is known
+    sink = _Sink()
+    monkeypatch.setattr(sys, "stdout", sink)
+    tracemalloc.start()
+    try:
+        code = main(["qh-check", "--r", "1", "--g-max", "60", "--d-max", "120",
+                     "--json", "--per-case"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert sink.size > 1_500_000
+    assert peak < sink.size / 2
+
+
+def _lowest_free_descriptor():
+    fd = os.dup(0)
+    os.close(fd)
+    return fd
+
+
+def test_a_closed_pipe_leaks_no_descriptor(monkeypatch, tmp_path):
+    # the handler points the stream's descriptor (here a scratch file's,
+    # so the test's own stdout is never touched) at devnull, and must
+    # close the devnull descriptor it opened to do so
+    with open(tmp_path / "stdout", "w") as scratch:
+        before = _lowest_free_descriptor()
+        for _ in range(3):
+            monkeypatch.setattr(sys, "stdout", _Sink(scratch.fileno(), fail_at=1))
+            assert main(["very-free", "--e", "3", "--r", "8", "--p", "5"]) == 1
+        assert _lowest_free_descriptor() == before

@@ -7,6 +7,7 @@ import pytest
 from tevdeg import (
     FormulaKind,
     HypothesisViolation,
+    NegativeExponent,
     NoKnownFormula,
     TargetKind,
     TargetSpec,
@@ -63,8 +64,9 @@ def test_hypersurface_dimension_boundary():
     result = vtev(problem)
     assert result.value == _product(result.factorization)
     # ... r = 2e - 4 is not
-    with pytest.raises(HypothesisViolation):
+    with pytest.raises(HypothesisViolation) as exc:
         vtev(_problem(TargetSpec.hypersurface(4, 4), 0, 4))
+    assert str(exc.value) == "hypersurface formula needs r >= 2e - 3 = 5, got r=4"
 
 
 def test_quadric_values():
@@ -100,17 +102,21 @@ def test_dispatch_covers_all_formula_kinds():
 
 
 def test_formula_hypotheses_hold_for_targets_built_field_by_field():
-    # the constructor accepts any e and r for a kind, so each formula
-    # still checks its own hypotheses
+    # the constructor accepts any e, r and index for a kind, so each
+    # formula still checks its own hypotheses
     cases = [
-        (TargetSpec(TargetKind.HYPERSURFACE, r=5, e=2, index=5),
-         "hypersurface formula needs e >= 3, got 2"),
-        (TargetSpec(TargetKind.QUADRIC, r=2, e=2, index=2),
-         "quadric formula needs r >= 3, got 2"),
+        (TargetSpec(TargetKind.HYPERSURFACE, r=5, e=2, index=5), 1, 2,
+         HypothesisViolation, "hypersurface formula needs e >= 3, got 2"),
+        (TargetSpec(TargetKind.QUADRIC, r=2, e=2, index=2), 1, 2,
+         HypothesisViolation, "quadric formula needs r >= 3, got 2"),
+        # index 100 forces n = 101 at g = 0, d = 7, so the last exponent
+        # is negative; no constructor pairs e, r and index like this
+        (TargetSpec(TargetKind.HYPERSURFACE, r=7, e=3, index=100), 0, 7,
+         NegativeExponent, "exponent (d-n)e - g + 1 = -281 is negative"),
     ]
-    for target, message in cases:
-        with pytest.raises(HypothesisViolation) as exc:
-            vtev(make_problem(target, 1, 2))
+    for target, g, d, error, message in cases:
+        with pytest.raises(error) as exc:
+            vtev(make_problem(target, g, d))
         assert str(exc.value) == message
 
 
