@@ -20,7 +20,9 @@ __all__ = [
     "padic_valuation",
 ]
 
-# Witness set proving Miller-Rabin deterministic for n < 3.3e24 > 2**64.
+# The first 12 primes as witnesses: Miller-Rabin with them is proven
+# deterministic only below 318665857834031151167461 (about 3.2e23), a
+# composite that passes all 12; is_prime trusts them below 2**64 alone.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _MR_DETERMINISTIC_BOUND = 1 << 64
 _MR_EXTRA_ROUNDS = 24

@@ -53,7 +53,7 @@ from .errors import (
     WellPosednessError,
 )
 from .schubert import tev_p1_binomial
-from .targets import TargetKind, TargetSpec, TevProblem, make_problem
+from .targets import TargetKind, TargetSpec, TevProblem, degree_step, make_problem
 
 __all__ = [
     "Certificate",
@@ -229,16 +229,18 @@ def _try_vtev(problem: TevProblem) -> int | None:
 
 def certify(problem: TevProblem) -> Certificate:
     """Certify enumerativity of the virtual count for a well-posed problem."""
-    kind = problem.target.kind
-    if kind is TargetKind.PROJECTIVE_SPACE:
-        if problem.target.r == 1:
-            return _certify_line(problem)
-        return _certify_projective(problem)
-    if kind is TargetKind.HYPERSURFACE:
-        return _certify_hypersurface(problem)
-    if kind in (TargetKind.QUADRIC, TargetKind.HOMOGENEOUS):
-        return _certify_homogeneous(problem)
-    return _certify_custom(problem)
+    target = problem.target
+    if target.kind is TargetKind.PROJECTIVE_SPACE and target.r == 1:
+        return _certify_line(problem)
+    if target.kind is TargetKind.CUSTOM:
+        return _certify_custom(problem)
+    if target.kind is TargetKind.PROJECTIVE_SPACE:
+        status, cited, checks = _certify_projective(problem)
+    elif target.kind is TargetKind.HYPERSURFACE:
+        status, cited, checks = _certify_hypersurface(problem)
+    else:  # quadric and homogeneous targets
+        status, cited, checks = Status.ASYMPTOTICALLY_ENUMERATIVE, CITE_HOMOGENEOUS, ()
+    return Certificate(status, cited, checks, vtev_value=_try_vtev(problem))
 
 
 def certify_target(target: TargetSpec, g: int, d: int) -> Certificate:
@@ -279,22 +281,19 @@ def _certify_line(problem: TevProblem) -> Certificate:
     )
 
 
-def _certify_projective(problem: TevProblem) -> Certificate:
+def _certify_projective(problem: TevProblem) -> tuple[Status, str, tuple[Check, ...]]:
     r, g, d = problem.target.r, problem.g, problem.d
     threshold = _check("d >= r(g + 1)", d, ">=", r * (g + 1))
-    checks: tuple[Check, ...] = (threshold,)
-    minimal_degree = r + g * r // (r + 1)
     if threshold.holds:
-        status, cited = Status.ENUMERATIVE, CITE_PR_THRESHOLD
-    elif g > 0 and (g * r) % (r + 1) == 0 and d == minimal_degree:
-        checks += (_check("d == r + gr/(r+1)", d, "==", minimal_degree),)
-        status, cited = Status.NOT_ENUMERATIVE, CITE_PR_CASTELNUOVO
-    else:
-        status, cited = Status.UNKNOWN, CITE_NONE
-    return Certificate(status, cited, checks, vtev_value=_try_vtev(problem))
+        return Status.ENUMERATIVE, CITE_PR_THRESHOLD, (threshold,)
+    # n = 1 - g + d(r+1)/r is r + 2 exactly at d = r + gr/(r+1)
+    if g > 0 and problem.n == r + 2:
+        minimal = _check("d == r + gr/(r+1)", d, "==", r + g * r // (r + 1))
+        return Status.NOT_ENUMERATIVE, CITE_PR_CASTELNUOVO, (threshold, minimal)
+    return Status.UNKNOWN, CITE_NONE, (threshold,)
 
 
-def _certify_hypersurface(problem: TevProblem) -> Certificate:
+def _certify_hypersurface(problem: TevProblem) -> tuple[Status, str, tuple[Check, ...]]:
     e, r = problem.target.e, problem.target.r
     if problem.g == 0:
         bound = _genus0_hypersurface_check(e, r)
@@ -305,16 +304,7 @@ def _certify_hypersurface(problem: TevProblem) -> Certificate:
         cited = CITE_HYP_ASYMPTOTIC
     if not bound.holds:
         status, cited = Status.UNKNOWN, CITE_NONE
-    return Certificate(status, cited, (bound,), vtev_value=_try_vtev(problem))
-
-
-def _certify_homogeneous(problem: TevProblem) -> Certificate:
-    return Certificate(
-        status=Status.ASYMPTOTICALLY_ENUMERATIVE,
-        cited_result=CITE_HOMOGENEOUS,
-        checks=(),
-        vtev_value=_try_vtev(problem),
-    )
+    return status, cited, (bound,)
 
 
 def _certify_custom(problem: TevProblem) -> Certificate:
@@ -341,8 +331,10 @@ def _certify_custom(problem: TevProblem) -> Certificate:
 def very_free_search(e: int, r: int, p: int) -> VeryFreeReport:
     """Find the smallest usable marking count and test p-divisibility.
 
-    Searches for the minimal n >= 3 with (n-1) * r divisible by
-    r + 2 - e and resulting degree d = (n-1) * r / (r+2-e) >= 3, then
+    n and d come from the target, not from a search: `degree_step`
+    gives the degrees with an integral n = 1 + d(r+2-e)/r, d is the
+    least of them with d >= 3 and n >= 3 (n grows with d, and n >= 3
+    is d >= 2r/(r+2-e)), and `make_problem` gives n at genus 0. Then
     computes the p-adic valuation of the genus-0 count
 
         ((e-1)!)^n * e^((d-n)e + 1)
@@ -351,36 +343,23 @@ def very_free_search(e: int, r: int, p: int) -> VeryFreeReport:
     The conclusion is True when r > (e+2)(e-2), p > e, and the
     valuation is 0; a True conclusion certifies a very free rational
     curve on a general degree-e hypersurface in characteristic p.
-
-    The search always ends by n = max(3, r + 3 - e): there n - 1 is
-    r + 2 - e, or 2 when that is 1, so d is r >= e >= 3, or 2r >= 4.
     """
     if e < 3:
         raise HypothesisViolation(f"very-free search needs e >= 3, got {e}")
     if r < 1:
         raise DomainError(f"need r >= 1, got {r}")
-    step = r + 2 - e
-    if step <= 0:
-        raise NonFano(
-            f"degree {e} hypersurface of dimension {r} is not Fano"
-        )
+    index = r + 2 - e
+    if index <= 0:
+        raise NonFano(f"degree {e} hypersurface of dimension {r} is not Fano")
     if not is_prime(p):
         raise HypothesisViolation(f"characteristic must be prime, got {p}")
-    n = 3
-    while (n - 1) * r % step or (n - 1) * r // step < 3:
-        n += 1
-    d = (n - 1) * r // step
+    target = TargetSpec.hypersurface(e, r)
+    unit = degree_step(target)
+    least = max(3, -(-2 * r // index))  # ceil(2r/index) is n >= 3
+    d = -(-least // unit) * unit
+    n = make_problem(target, 0, d).n
     valuation = n * legendre_valuation(e - 1, p)
     valuation += ((d - n) * e + 1) * padic_valuation(e, p)
     conditions = (_genus0_hypersurface_check(e, r), _check("p > e", p, ">", e))
     conclusion = all(c.holds for c in conditions) and valuation == 0
-    return VeryFreeReport(
-        e=e,
-        r=r,
-        p=p,
-        n=n,
-        d=d,
-        vtev_valuation=valuation,
-        conditions=conditions,
-        conclusion=conclusion,
-    )
+    return VeryFreeReport(e, r, p, n, d, valuation, conditions, conclusion)

@@ -35,13 +35,13 @@ faster.
 Exit codes: 0 ok, 1 stdout closed early (a broken pipe, as in
 `| head`: a serial sweep or `qh-check --per-case` stops at its first
 failed write), 2 parse or usage error (an empty sweep or qh-check
-grid is one, and so are an `--out` path that cannot be opened and
-mixing point flags `--g`/`--d` with grid flags `--sweep`/`--g-max`/
-`--d-max`/`--g-min`/`--d-min`/`--workers`), 3 well-posedness error,
-4 hypothesis or formula-domain violation. A failed record's code is
-the `exit_code` of its error class, defined once in `errors`. Sweeps
-exit 0 as long as the sweep itself runs; per-cell failures are
-encoded in the records.
+grid is one, and so are a flag not spelled in full, an `--out` path
+that cannot be opened, and mixing point flags `--g`/`--d` with grid
+flags `--sweep`/`--g-max`/`--d-max`/`--g-min`/`--d-min`/`--workers`),
+3 well-posedness error, 4 hypothesis or formula-domain violation.
+A failed record's code is the `exit_code` of its error class, defined
+once in `errors`. Sweeps exit 0 as long as the sweep itself runs;
+per-cell failures are encoded in the records.
 """
 
 from __future__ import annotations
@@ -114,7 +114,8 @@ class RunRecord:
 
     All numbers in `inputs` and `outputs` are decimal strings.
     Re-running the command named by `command` with `inputs` reproduces
-    `outputs` bit for bit.
+    `outputs` bit for bit, except for a `qh-check --per-case` record,
+    whose g and d are no qh-check flags.
     """
 
     command: str
@@ -453,13 +454,15 @@ _COMMANDS = {
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    # flags are spelled in full: `qh-check --g 2` is no --g-max
     parser = argparse.ArgumentParser(
         prog="tevdeg",
         description="Exact virtual and geometric Tevelev degrees.",
+        allow_abbrev=False,
     )
     commands = parser.add_subparsers(dest="command", required=True)
     for name, (help_line, cells, own_flags) in _COMMANDS.items():
-        sub = commands.add_parser(name, help=help_line)
+        sub = commands.add_parser(name, help=help_line, allow_abbrev=False)
         # usage errors found after parsing go through `args.parser`, so
         # their usage line names the subcommand and its flags
         sub.set_defaults(parser=sub)
@@ -524,8 +527,10 @@ def _open_output(parser: argparse.ArgumentParser, path: str | None):
 
 
 def _main(argv) -> int:
-    args = _build_parser().parse_args(argv)
+    args, unknown = _build_parser().parse_known_args(argv)
     parser = args.parser
+    if unknown:
+        parser.error(f"unrecognized arguments: {' '.join(unknown)}")
     swept = bool(getattr(args, "sweep", False))
     # usage errors come first, then the output is opened, then cells run
     if _COMMANDS[args.command][1]:  # runs (g, d) cells

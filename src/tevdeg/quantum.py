@@ -207,8 +207,9 @@ class PowerTable:
     `point(n)` is (h^r)^n and `handle(g)` is H^g. Every power the table
     computes is kept: power k is power k // 2 squared, times the base
     when k is odd, so a new exponent costs at most two products once
-    its half is known, and a first power costs O(log k) products. H is
-    built through `handle_element` on the first call to `handle`.
+    its half is known, and a first power costs O(log k) products. Each
+    base is built on the first call that needs it, H through
+    `handle_element`, so a grid with no well-posed cell costs nothing.
 
     A table lives as long as its caller keeps it; `tqft_vtev` builds a
     fresh one unless it is handed one, and nothing is kept at module
@@ -220,10 +221,12 @@ class PowerTable:
     def __init__(self, r: int):
         _check_rank(r)
         self.r = r
-        self._point = {0: QElement.one(r), 1: QElement.h_power(r, r)}
+        self._point: dict[int, QElement] | None = None
         self._handle: dict[int, QElement] | None = None
 
     def point(self, n: int) -> QElement:
+        if self._point is None:
+            self._point = {0: QElement.one(self.r), 1: QElement.h_power(self.r, self.r)}
         return _memo_power(self._point, n)
 
     def handle(self, g: int) -> QElement:

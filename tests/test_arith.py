@@ -181,6 +181,9 @@ def test_is_prime_known_hard_cases():
     # a prime above 2**64 passes every round, the seeded ones too
     assert is_prime(2 ** 89 - 1)
     assert not is_prime((2 ** 61 - 1) * (2 ** 89 - 1))
+    # 399165290221 * 798330580441 passes every fixed witness, 2..37;
+    # only the seeded rounds above 2**64 reject it
+    assert not is_prime(318665857834031151167461)
 
 
 @pytest.mark.parametrize(

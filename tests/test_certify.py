@@ -3,9 +3,15 @@
 from __future__ import annotations
 
 import hashlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import tevdeg
 from tevdeg import (
     Certificate,
     HypothesisViolation,
@@ -23,6 +29,9 @@ from tevdeg import (
     very_free_search,
 )
 from tevdeg.cli import main
+
+# the directory this `tevdeg` was imported from, for subprocesses
+SRC = str(Path(tevdeg.__file__).resolve().parents[1])
 
 
 def _status(target, g, d):
@@ -251,6 +260,33 @@ def test_very_free_search_finds_the_least_marking_count():
             assert usable == [report.n], (e, r)
             assert report.d == (report.n - 1) * r // step
             assert report.n <= max(3, r + 3 - e)
+
+
+def test_very_free_search_needs_no_search_at_a_huge_dimension():
+    # n and d are read off the target; a search over n would take
+    # about r steps, minutes at r = 10^9
+    run = subprocess.run(
+        [sys.executable, "-m", "tevdeg", "very-free", "--e", "3",
+         "--r", "1000000000", "--p", "5", "--json"],
+        env={**os.environ, "PYTHONPATH": SRC}, capture_output=True,
+        text=True, timeout=30,
+    )
+    assert run.returncode == 0, run.stderr
+    outputs = json.loads(run.stdout)["outputs"]
+    assert (outputs["n"], outputs["d"]) == ("1000000000", "1000000000")
+
+
+def test_castelnuovo_status_is_the_minimal_classical_degree():
+    # the certifier asks n == r + 2; the paper states d = r + gr/(r+1)
+    for r in range(2, 9):
+        target = TargetSpec.projective_space(r)
+        for g in range(31):
+            for d in range(1, 151):
+                cert = certify_target(target, g, d)
+                if cert.status is Status.NOT_WELL_POSED:
+                    continue
+                minimal = g > 0 and (g * r) % (r + 1) == 0 and d == r + g * r // (r + 1)
+                assert (cert.status is Status.NOT_ENUMERATIVE) == minimal, (r, g, d)
 
 
 # Every certifier branch: the line on both sides of its formula domain,

@@ -329,6 +329,30 @@ def test_usage_errors_print_the_subcommands_usage(capsys, tmp_path, argv, messag
     assert captured.err.splitlines()[-1] == f"tevdeg {command}: error: {message}"
 
 
+# a prefix of a long flag is not that flag: each of these would run,
+# some with other inputs than they seem to name, were prefixes accepted
+ABBREVIATED_FLAGS = [
+    ["tev-p1", "--g", "3", "--d", "4", "--meth", "both", "--js"],
+    ["qh-check", "--r", "3", "--g", "2", "--d", "3", "--json"],
+    ["vtev", "--targ", "p:2", "--g", "1", "--d", "2"],
+    ["qh-check", "--r", "2", "--g-max", "1", "--d-max", "2", "--per"],
+    ["very-free", "--e", "3", "--r", "8", "--p", "5", "--js"],
+]
+
+
+@pytest.mark.parametrize(
+    "argv", ABBREVIATED_FLAGS,
+    ids=["tev-p1-meth-js", "qh-check-g-d", "vtev-targ", "qh-check-per", "very-free-js"],
+)
+def test_a_flag_must_be_spelled_in_full(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"usage: tevdeg {argv[0]} ")
+
+
 @pytest.fixture
 def pool_sizes(monkeypatch):
     """The `max_workers` of every process pool a sweep constructs, on a
@@ -1096,6 +1120,19 @@ def test_qh_check_per_case_holds_one_record_at_a_time(monkeypatch):
     assert code == 0
     assert sink.size > 1_500_000
     assert peak < sink.size / 2
+
+
+def test_qh_check_builds_no_ring_for_a_grid_without_cells():
+    # the only degree step of P^(10^6) is 10^6 > d_max, so no cell is
+    # well-posed and neither power of the table is ever needed
+    tracemalloc.start()
+    try:
+        (summary,) = cli.run_qh_check(10**6, 0, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert summary.outputs == {"cases": "0", "mismatches": "0"}
+    assert peak < 1_000_000
 
 
 def _lowest_free_descriptor():
