@@ -25,7 +25,6 @@ from .certify import (
     check_complete_intersection,
     check_condition_ii,
     check_star2_prime0_hypersurface,
-    transversality_threshold,
     very_free_search,
 )
 from .closed_forms import FormulaKind, VTevResult, vtev
@@ -61,7 +60,6 @@ from .targets import (
     TevProblem,
     c1_pairing,
     make_problem,
-    marking_count,
 )
 
 __version__ = "0.1.0"

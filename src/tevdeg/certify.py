@@ -40,11 +40,10 @@ rational curve, by exhibiting a genus-0 count not divisible by p.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 
 from .arith import is_prime, legendre_valuation, padic_valuation
-from .closed_forms import vtev
+from .closed_forms import check_hypersurface_range, vtev
 from .errors import (
     DomainError,
     HypothesisViolation,
@@ -53,7 +52,14 @@ from .errors import (
     WellPosednessError,
 )
 from .schubert import tev_p1_binomial
-from .targets import TargetKind, TargetSpec, TevProblem, degree_step, make_problem
+from .targets import (
+    TargetKind,
+    TargetSpec,
+    TevProblem,
+    ValueObject,
+    degree_step,
+    make_problem,
+)
 
 __all__ = [
     "Certificate",
@@ -65,7 +71,6 @@ __all__ = [
     "check_complete_intersection",
     "check_condition_ii",
     "check_star2_prime0_hypersurface",
-    "transversality_threshold",
     "very_free_search",
 ]
 
@@ -88,16 +93,20 @@ _RELATIONS = {
 }
 
 
-@dataclass
-class Check:
+class Check(ValueObject):
     """One evaluated inequality: description, both sides, verdict.
     Treated as immutable."""
 
-    description: str
-    left: int
-    relation: str
-    right: int
-    holds: bool
+    __slots__ = _fields = ("description", "left", "relation", "right", "holds")
+
+    def __init__(
+        self, description: str, left: int, relation: str, right: int, holds: bool
+    ) -> None:
+        self.description = description
+        self.left = left
+        self.relation = relation
+        self.right = right
+        self.holds = holds
 
     def recompute(self) -> bool:
         """Re-evaluate the relation; must agree with `holds`."""
@@ -108,8 +117,7 @@ def _check(description: str, left: int, relation: str, right: int) -> Check:
     return Check(description, left, relation, right, _RELATIONS[relation](left, right))
 
 
-@dataclass
-class Certificate:
+class Certificate(ValueObject):
     """Outcome of certification with its supporting arithmetic.
 
     `geometric_value` is only ever attached for the line, the one
@@ -117,26 +125,52 @@ class Certificate:
     status requires every listed check to hold. Treated as immutable.
     """
 
-    status: Status
-    cited_result: str
-    checks: tuple[Check, ...]
-    vtev_value: int | None = None
-    geometric_value: int | None = None
+    __slots__ = _fields = (
+        "status", "cited_result", "checks", "vtev_value", "geometric_value"
+    )
+
+    def __init__(
+        self,
+        status: Status,
+        cited_result: str,
+        checks: tuple[Check, ...],
+        vtev_value: int | None = None,
+        geometric_value: int | None = None,
+    ) -> None:
+        self.status = status
+        self.cited_result = cited_result
+        self.checks = checks
+        self.vtev_value = vtev_value
+        self.geometric_value = geometric_value
 
 
-@dataclass
-class VeryFreeReport:
+class VeryFreeReport(ValueObject):
     """Very-free existence evidence for a hypersurface in char p.
     Treated as immutable."""
 
-    e: int
-    r: int
-    p: int
-    n: int
-    d: int
-    vtev_valuation: int
-    conditions: tuple[Check, ...]
-    conclusion: bool
+    __slots__ = _fields = (
+        "e", "r", "p", "n", "d", "vtev_valuation", "conditions", "conclusion"
+    )
+
+    def __init__(
+        self,
+        e: int,
+        r: int,
+        p: int,
+        n: int,
+        d: int,
+        vtev_valuation: int,
+        conditions: tuple[Check, ...],
+        conclusion: bool,
+    ) -> None:
+        self.e = e
+        self.r = r
+        self.p = p
+        self.n = n
+        self.d = d
+        self.vtev_valuation = vtev_valuation
+        self.conditions = conditions
+        self.conclusion = conclusion
 
 
 CITE_P1_THRESHOLD = "line threshold: enumerative iff d >= g+1"
@@ -154,14 +188,6 @@ CITE_VERY_FREE = (
     "very free rational curves from a p-indivisible genus-0 count"
 )
 CITE_NONE = "no applicable criterion"
-
-
-def transversality_threshold(g: int) -> int:
-    """Dimension bound 2g above which generic one-point evaluations
-    of the relevant moduli become flat and birationally transverse."""
-    if g < 0:
-        raise DomainError(f"genus must be >= 0, got {g}")
-    return 2 * g
 
 
 # One constructor per criterion inequality. The certifiers, the
@@ -340,6 +366,8 @@ def very_free_search(e: int, r: int, p: int) -> VeryFreeReport:
         ((e-1)!)^n * e^((d-n)e + 1)
 
     from its factorization (the integer itself is never factored).
+    Below r = 2e - 3 that count has no proven formula, so the search
+    raises the hypersurface formula's own HypothesisViolation there.
     The conclusion is True when r > (e+2)(e-2), p > e, and the
     valuation is 0; a True conclusion certifies a very free rational
     curve on a general degree-e hypersurface in characteristic p.
@@ -351,6 +379,7 @@ def very_free_search(e: int, r: int, p: int) -> VeryFreeReport:
     index = r + 2 - e
     if index <= 0:
         raise NonFano(f"degree {e} hypersurface of dimension {r} is not Fano")
+    check_hypersurface_range(e, r)
     if not is_prime(p):
         raise HypothesisViolation(f"characteristic must be prime, got {p}")
     target = TargetSpec.hypersurface(e, r)

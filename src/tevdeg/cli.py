@@ -28,9 +28,10 @@ uses the pool. A closed-form sweep (`vtev`, `certify`, `tev-p1
 --method binomial`) runs in this process unless max(g_max, d_max) *
 r * e, a bound on the size of its largest value, reaches
 `POOL_MIN_SIZE`: below that a cell costs less than the pool's
-start-up. The pool (and multiprocessing with it) is imported only
-when a sweep uses it, so single points and serial sweeps start
-faster.
+start-up. A sweep of a target with no closed form (`gp:`, `custom:`)
+computes no value, so it never pools. The pool (and multiprocessing
+with it) is imported only when a sweep uses it, so single points and
+serial sweeps start faster.
 
 Exit codes: 0 ok, 1 stdout closed early (a broken pipe, as in
 `| head`: a serial sweep or `qh-check --per-case` stops at its first
@@ -53,7 +54,6 @@ import json
 import os
 import sys
 from collections.abc import Iterator
-from dataclasses import dataclass, field
 from functools import partial
 
 from . import errors
@@ -64,11 +64,11 @@ from .certify import (
     certify_target,
     very_free_search,
 )
-from .closed_forms import vtev
+from .closed_forms import _DISPATCH as _CLOSED_FORMS, vtev
 from .errors import TargetParseError, TevError, WellPosednessError
 from .quantum import PowerTable, tqft_vtev
 from .schubert import tev_p1_binomial, tev_p1_schubert
-from .targets import TargetSpec, degree_step, make_problem
+from .targets import TargetSpec, ValueObject, degree_step, make_problem
 
 __all__ = ["RunRecord", "main", "parse_target"]
 
@@ -108,22 +108,35 @@ def _int(text: str) -> int:
         raise TargetParseError(f"expected an integer, got {text!r}") from None
 
 
-@dataclass
-class RunRecord:
+class RunRecord(ValueObject):
     """One computation: echoed inputs, outputs, citations, status.
 
     All numbers in `inputs` and `outputs` are decimal strings.
     Re-running the command named by `command` with `inputs` reproduces
     `outputs` bit for bit, except for a `qh-check --per-case` record,
-    whose g and d are no qh-check flags.
+    whose g and d are no qh-check flags. `outputs` and `citations`
+    default to a fresh empty dict and list.
     """
 
-    command: str
-    inputs: dict[str, str]
-    outputs: dict[str, str] = field(default_factory=dict)
-    citations: list[str] = field(default_factory=list)
-    status: str = "ok"
-    error_kind: str | None = None
+    # no __slots__: `to_dict` reads the fields from the instance dict,
+    # which holds them in the order `__init__` assigns them
+    _fields = ("command", "inputs", "outputs", "citations", "status", "error_kind")
+
+    def __init__(
+        self,
+        command: str,
+        inputs: dict[str, str],
+        outputs: dict[str, str] | None = None,
+        citations: list[str] | None = None,
+        status: str = "ok",
+        error_kind: str | None = None,
+    ) -> None:
+        self.command = command
+        self.inputs = inputs
+        self.outputs = {} if outputs is None else outputs
+        self.citations = [] if citations is None else citations
+        self.status = status
+        self.error_kind = error_kind
 
     def to_dict(self) -> dict:
         """The fields, in declaration order."""
@@ -356,6 +369,10 @@ def _pool_pays(args, g_max: int, d_max: int) -> bool:
             target = parse_target(args.target)
         except TevError:
             return False  # every cell is the same cheap error record
+        if target.kind not in _CLOSED_FORMS:
+            # no value to compute: a NoKnownFormula record or a
+            # certificate of a few comparisons per cell
+            return False
         r, e = target.r, target.e
     return _size_proxy(r, e, g_max, d_max) >= POOL_MIN_SIZE
 
@@ -428,7 +445,8 @@ _CELL_FLAGS = (
         "most processes a sweep may use (>= 1, capped at the cell "
         "count and the CPU count, default 1); Schubert sweeps use them, "
         "closed-form sweeps only once max(g_max, d_max) * r * e reaches "
-        f"{POOL_MIN_SIZE}; output is unchanged"
+        f"{POOL_MIN_SIZE}, and gp: and custom: sweeps never; output is "
+        "unchanged"
     )}),
 )
 _OUTPUT_FLAGS = (

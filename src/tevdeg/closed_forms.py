@@ -24,12 +24,11 @@ field by field can carry any e and r.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 
 from .arith import factorial
 from .errors import HypothesisViolation, NegativeExponent, NoKnownFormula
-from .targets import TargetKind, TevProblem
+from .targets import TargetKind, TevProblem, ValueObject
 
 __all__ = ["FormulaKind", "VTevResult", "vtev"]
 
@@ -40,8 +39,7 @@ class FormulaKind(Enum):
     QUADRIC = "quadric"
 
 
-@dataclass
-class VTevResult:
+class VTevResult(ValueObject):
     """A virtual count together with how it was produced.
 
     `factorization` is a tuple of (base, exponent) pairs whose product
@@ -49,15 +47,37 @@ class VTevResult:
     product, so the hint is the trivial one. Treated as immutable.
     """
 
-    value: int
-    problem: TevProblem
-    formula: FormulaKind
-    factorization: tuple[tuple[int, int], ...]
+    __slots__ = _fields = ("value", "problem", "formula", "factorization")
+
+    def __init__(
+        self,
+        value: int,
+        problem: TevProblem,
+        formula: FormulaKind,
+        factorization: tuple[tuple[int, int], ...],
+    ) -> None:
+        self.value = value
+        self.problem = problem
+        self.formula = formula
+        self.factorization = factorization
 
 
 def _projective(problem: TevProblem) -> tuple[tuple[int, int], ...]:
     """Factors for P^r: (r + 1)^g."""
     return ((problem.target.r + 1, problem.g),)
+
+
+def check_hypersurface_range(e: int, r: int) -> None:
+    """Raise HypothesisViolation unless e >= 3 and r >= 2e - 3, the
+    range where the hypersurface formula holds. `very_free_search`
+    shares this guard, so it reports no count the formula does not
+    back."""
+    if e < 3:
+        raise HypothesisViolation(f"hypersurface formula needs e >= 3, got {e}")
+    if r < 2 * e - 3:
+        raise HypothesisViolation(
+            f"hypersurface formula needs r >= 2e - 3 = {2 * e - 3}, got r={r}"
+        )
 
 
 def _hypersurface(problem: TevProblem) -> tuple[tuple[int, int], ...]:
@@ -69,12 +89,7 @@ def _hypersurface(problem: TevProblem) -> tuple[tuple[int, int], ...]:
     the last exponent (e-1)(g-1) + d*e*(e-2)/r is at least 1.
     """
     e, r = problem.target.e, problem.target.r
-    if e < 3:
-        raise HypothesisViolation(f"hypersurface formula needs e >= 3, got {e}")
-    if r < 2 * e - 3:
-        raise HypothesisViolation(
-            f"hypersurface formula needs r >= 2e - 3 = {2 * e - 3}, got r={r}"
-        )
+    check_hypersurface_range(e, r)
     g, d, n = problem.g, problem.d, problem.n
     exponent = (d - n) * e - g + 1
     if exponent < 0:

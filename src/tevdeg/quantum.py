@@ -129,9 +129,6 @@ class QElement:
                 bucket[qe] = bucket.get(qe, 0) + c
         return QElement._trusted(self.r, _nonzero(out))
 
-    def is_zero(self) -> bool:
-        return all(not slot for slot in self.coeffs)
-
     def __repr__(self) -> str:
         parts = []
         for i, slot in enumerate(self.coeffs):

@@ -20,10 +20,8 @@ with the forced n raises exactly what `make_problem` raises.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from math import gcd
-from numbers import Rational
 
 from .errors import (
     DomainError,
@@ -41,7 +39,6 @@ __all__ = [
     "c1_pairing",
     "degree_step",
     "make_problem",
-    "marking_count",
 ]
 
 
@@ -53,8 +50,33 @@ class TargetKind(Enum):
     CUSTOM = "custom"
 
 
-@dataclass
-class TargetSpec:
+class ValueObject:
+    """Base of the value classes: `==` by field and a field-by-field
+    repr, over the names a subclass lists in `_fields`.
+
+    Instances are treated as immutable and compare by value, so they
+    are unhashable. A plain base rather than `dataclasses`, whose import
+    chain (`inspect`, `ast`, `dis`) and per-class code generation cost
+    every CLI start far more than a single point's computation.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+    __hash__ = None
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(
+            getattr(self, name) == getattr(other, name) for name in self._fields
+        )
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+
+class TargetSpec(ValueObject):
     """A Picard-rank-1 Fano target.
 
     `index` is the pairing of c1 with the generator curve class, so it
@@ -62,18 +84,30 @@ class TargetSpec:
     pairings over curve classes with surjective one-point (resp.
     two-point) evaluation; for homogeneous and custom targets they are
     recorded as asserted by the caller, never derived. Treated as
-    immutable: nothing changes a spec after `__post_init__`.
+    immutable: nothing changes a spec after the constructor.
     """
 
-    kind: TargetKind
-    r: int
-    e: int
-    index: int
-    s_bound: int | None = None
-    t_bound: int | None = None
-    ci_degrees: tuple[int, ...] | None = None
+    __slots__ = _fields = (
+        "kind", "r", "e", "index", "s_bound", "t_bound", "ci_degrees"
+    )
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self,
+        kind: TargetKind,
+        r: int,
+        e: int,
+        index: int,
+        s_bound: int | None = None,
+        t_bound: int | None = None,
+        ci_degrees: tuple[int, ...] | None = None,
+    ) -> None:
+        self.kind = kind
+        self.r = r
+        self.e = e
+        self.index = index
+        self.s_bound = s_bound
+        self.t_bound = t_bound
+        self.ci_degrees = ci_degrees
         if self.r < 1:
             raise InvalidTarget(f"dimension must be >= 1, got r={self.r}")
         if self.e < 1:
@@ -205,8 +239,7 @@ class TargetSpec:
         return f"custom target, dim {self.r}, index {self.index}"
 
 
-@dataclass
-class TevProblem:
+class TevProblem(ValueObject):
     """A well-posed counting problem: target, genus, degree, markings.
 
     Construction decides well-posedness once n is known: g >= 0 and
@@ -215,23 +248,23 @@ class TevProblem:
     2g - 2 + n > 0 (UnstableRange). Treated as immutable.
     """
 
-    target: TargetSpec
-    g: int
-    d: int
-    n: int
+    __slots__ = _fields = ("target", "g", "d", "n")
 
-    def __post_init__(self) -> None:
-        g, n = self.g, self.n
+    def __init__(self, target: TargetSpec, g: int, d: int, n: int) -> None:
+        self.target = target
+        self.g = g
+        self.d = d
+        self.n = n
         _check_genus(g)
-        lhs = c1_pairing(self.target, self.d)
-        rhs = self.target.r * (n + g - 1)
+        lhs = c1_pairing(target, d)
+        rhs = target.r * (n + g - 1)
         if lhs != rhs:
             raise DomainError(
                 f"dimension constraint violated: d*I = {lhs} but "
                 f"r*(n+g-1) = {rhs}"
             )
         if n < 0:
-            raise NegativeN(f"marking count {n} is negative (g={g}, d={self.d})")
+            raise NegativeN(f"marking count {n} is negative (g={g}, d={d})")
         if 2 * g - 2 + n <= 0:
             raise UnstableRange(
                 f"(g, n) = ({g}, {n}) lies outside the stable range "
@@ -249,20 +282,6 @@ def c1_pairing(target: TargetSpec, d: int) -> int:
 def _check_genus(g: int) -> None:
     if g < 0:
         raise DomainError(f"genus must be >= 0, got {g}")
-
-
-def marking_count(target: TargetSpec, g: int, d: int) -> Rational:
-    """The forced marking count 1 - g + d*I/r, as an exact rational
-    (a `Fraction`).
-
-    Integrality is not enforced here; `make_problem` does that.
-    """
-    # kept off the CLI's import path, so the annotation names the
-    # `numbers` base class, which resolves at run time
-    from fractions import Fraction
-
-    _check_genus(g)
-    return 1 - g + Fraction(c1_pairing(target, d), target.r)
 
 
 def degree_step(target: TargetSpec) -> int:

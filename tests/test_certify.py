@@ -18,6 +18,7 @@ from tevdeg import (
     NonFano,
     Status,
     TargetSpec,
+    WellPosednessError,
     certify,
     certify_target,
     check_complete_intersection,
@@ -25,8 +26,8 @@ from tevdeg import (
     check_star2_prime0_hypersurface,
     make_problem,
     tev_p1_binomial,
-    transversality_threshold,
     very_free_search,
+    vtev,
 )
 from tevdeg.cli import main
 
@@ -36,14 +37,6 @@ SRC = str(Path(tevdeg.__file__).resolve().parents[1])
 
 def _status(target, g, d):
     return certify_target(target, g, d).status
-
-
-def test_transversality_threshold():
-    assert transversality_threshold(0) == 0
-    assert transversality_threshold(3) == 6
-    assert transversality_threshold(1) == 2
-    with pytest.raises(ValueError):
-        transversality_threshold(-1)
 
 
 def test_condition_ii():
@@ -250,7 +243,7 @@ def test_very_free_search_finds_the_least_marking_count():
     # every Fano (e, r) has a usable n, and the search returns the least:
     # no smaller n >= 3 gives an integral degree d >= 3
     for e in range(3, 16):
-        for r in range(e - 1, 80):
+        for r in range(2 * e - 3, 80):
             step = r + 2 - e
             report = very_free_search(e, r, 5)
             usable = [
@@ -260,6 +253,32 @@ def test_very_free_search_finds_the_least_marking_count():
             assert usable == [report.n], (e, r)
             assert report.d == (report.n - 1) * r // step
             assert report.n <= max(3, r + 3 - e)
+
+
+def test_very_free_search_refuses_where_the_closed_form_does():
+    # below r = 2e - 3 no formula backs the genus-0 count, so the search
+    # raises the closed form's own HypothesisViolation on every Fano (e, r)
+    cases = 0
+    for e in range(3, 16):
+        for r in range(e - 1, 2 * e - 3):
+            target = TargetSpec.hypersurface(e, r)
+            d = next(d for d in range(1, 10 * r) if _well_posed(target, 0, d))
+            with pytest.raises(HypothesisViolation) as closed_form:
+                vtev(make_problem(target, 0, d))
+            for p in (2, 5, 101):
+                with pytest.raises(HypothesisViolation) as search:
+                    very_free_search(e, r, p)
+                assert str(search.value) == str(closed_form.value)
+                cases += 1
+    assert cases == 3 * sum(e - 2 for e in range(3, 16))
+
+
+def _well_posed(target, g, d):
+    try:
+        make_problem(target, g, d)
+    except WellPosednessError:
+        return False
+    return True
 
 
 def test_very_free_search_needs_no_search_at_a_huge_dimension():
@@ -300,8 +319,10 @@ PINNED_TARGETS = (
     "custom:7:6:6:6:3 custom:9:7:7:7:4 custom:5:2:3:3:2,3 custom:5:2:1:1"
 ).split()
 # sha256 of the 12 090 JSON records below, recorded before the
-# certifier's inequalities were each written once
-PINNED_SHA256 = "97f0042e6f1da90f7d4f9bf6dc0ea5be89f303de53fad3e88b321ee568b4ba6d"
+# certifier's inequalities were each written once; it moved only when
+# very-free began refusing r < 2e - 3, where (e, r) = (3, 2), (4, 3)
+# and (5, 5) became HypothesisViolation records at each of the 5 primes
+PINNED_SHA256 = "42aa2d561c32351829162c155e93a57e537057c378c4584a3206e799c0186473"
 
 
 def test_certificate_and_very_free_records_are_pinned(capsys):

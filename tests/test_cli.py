@@ -5,7 +5,6 @@ from __future__ import annotations
 import ast
 import concurrent.futures
 import contextlib
-import dataclasses
 import hashlib
 import json
 import os
@@ -26,6 +25,7 @@ from tevdeg import (
     TargetParseError,
     TargetSpec,
     TevError,
+    VTevResult,
     cli,
     closed_forms,
     make_problem,
@@ -517,6 +517,8 @@ def test_missing_point_flags_exit_2(capsys):
         (["certify", "--target", "p:2", "--g", "-1", "--d", "3"], 4, "DomainError"),
         (["very-free", "--e", "3", "--r", "0", "--p", "5"], 4, "DomainError"),
         (["vtev", "--target", "quadric:3", "--g", "0", "--d", "1"], 3, "UnstableRange"),
+        # below r = 2e - 3, where no formula backs the genus-0 count
+        (["very-free", "--e", "4", "--r", "3", "--p", "5"], 4, "HypothesisViolation"),
     ],
 )
 def test_exit_code_per_error_kind(capsys, argv, code, kind):
@@ -617,7 +619,8 @@ _IMPORT_PROBE = """
 import contextlib, io, sys
 from tevdeg import cli
 
-HEAVY = ("concurrent.futures.process", "multiprocessing", "fractions", "random")
+HEAVY = ("concurrent.futures.process", "multiprocessing", "fractions", "random",
+         "dataclasses", "inspect", "numbers")
 
 def loaded():
     return ",".join(m for m in HEAVY if m in sys.modules) or "-"
@@ -638,21 +641,23 @@ run(["tev-p1", "--method", "both", "--sweep", "--g-max", "2", "--d-max", "3",
 """
 
 
-def test_pool_and_fractions_load_only_when_used():
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (src, env.get("PYTHONPATH")) if p
-    )
-    # -S: a .pth file in site-packages may import modules (random among
-    # them) at start-up; the probe is about what tevdeg itself imports
+def _fresh_interpreter(code):
+    """stdout of `code` run by a fresh interpreter that imports this
+    tevdeg. -S: a .pth file in site-packages may import modules (random
+    among them) at start-up; the probes are about what tevdeg imports."""
     run = subprocess.run(
-        [sys.executable, "-S", "-c", _IMPORT_PROBE],
-        env=env, capture_output=True, text=True, timeout=60, check=True,
+        [sys.executable, "-S", "-c", code],
+        env=_env_with_src(), capture_output=True, text=True, timeout=60, check=True,
     )
+    return run.stdout.split()
+
+
+def test_pool_and_fractions_load_only_when_used():
     after_import, after_serial, after_closed_form, after_schubert = (
-        run.stdout.split()
+        _fresh_interpreter(_IMPORT_PROBE)
     )
+    # neither the import nor a serial sweep loads the pool, fractions, or
+    # the dataclasses chain (dataclasses, inspect) and numbers
     assert after_import == "-"
     assert after_serial == "-"
     assert after_closed_form == "-"
@@ -661,12 +666,51 @@ def test_pool_and_fractions_load_only_when_used():
     assert "multiprocessing" in pooled
 
 
+# sweeps whose size proxy alone would pool them
+NO_CLOSED_FORM_SWEEPS = [
+    ["certify", "--target", "custom:100:7:3:3", "--sweep", "--g-max", "3",
+     "--d-max", "90"],
+    ["vtev", "--target", "gp:40:7", "--sweep", "--g-max", "3", "--d-max", "210"],
+]
+
+_NO_CLOSED_FORM_PROBE = """
+import contextlib, io, sys
+from tevdeg import cli
+
+def run(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        cli.main(argv)
+    return out.getvalue()
+
+for sweep in %r:
+    pooled = run(sweep + ["--json", "--workers", "2"])
+    print("pool" if "concurrent.futures.process" in sys.modules else "serial",
+          pooled == run(sweep + ["--json"]))
+"""
+
+
+def test_sweeps_without_a_closed_form_never_pool():
+    # every cell is a NoKnownFormula record or a certificate of a few
+    # comparisons, far cheaper than the pool's start-up
+    for sweep in NO_CLOSED_FORM_SWEEPS:
+        args = cli._build_parser().parse_args(sweep)
+        target = parse_target(args.target)
+        size = cli._size_proxy(target.r, target.e, args.g_max, args.d_max)
+        assert size >= cli.POOL_MIN_SIZE
+    assert _fresh_interpreter(_NO_CLOSED_FORM_PROBE % NO_CLOSED_FORM_SWEEPS) == [
+        "serial", "True", "serial", "True",
+    ]
+
+
 def test_qh_check_compares_against_the_closed_form(capsys, monkeypatch):
     vtev = cli.vtev
 
     def wrong_vtev(problem):
         result = vtev(problem)
-        return dataclasses.replace(result, value=result.value + 1)
+        return VTevResult(
+            result.value + 1, result.problem, result.formula, result.factorization
+        )
 
     monkeypatch.setattr(cli, "vtev", wrong_vtev)
     code, out = _run(

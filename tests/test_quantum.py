@@ -98,7 +98,7 @@ def test_q_mul_drops_cancelled_slots():
     # h + (-h) is the zero element, not a slot holding a zero
     minus_h = QElement(1, [{}, {0: -1}])
     assert (QElement.h_power(1, 1) + minus_h).coeffs == ({}, {})
-    assert (QElement.h_power(1, 1) + minus_h).is_zero()
+    assert QElement.h_power(1, 1) + minus_h == QElement.zero(1)
 
 
 def test_public_constructor_still_validates():
@@ -149,7 +149,7 @@ def test_one_is_neutral():
 def test_zero_annihilates():
     rng = random.Random(12)
     a = _random_element(rng, 3)
-    assert q_mul(QElement.zero(3), a).is_zero()
+    assert q_mul(QElement.zero(3), a) == QElement.zero(3)
 
 
 def test_mismatched_rank_rejected():
@@ -215,7 +215,7 @@ def test_products_of_homogeneous_elements_are_homogeneous():
         b = _random_homogeneous(rng, r, db)
         assert _degrees(a) == {da}
         product = q_mul(a, b)
-        assert not product.is_zero()
+        assert product != QElement.zero(r)
         assert _degrees(product) == {da + db}
 
 

@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
-import dataclasses
 import inspect
+import pickle
 import typing
 from fractions import Fraction
 
@@ -28,9 +28,15 @@ from tevdeg import (
     check_complete_intersection,
     check_star2_prime0_hypersurface,
     make_problem,
-    marking_count,
 )
+from tevdeg.cli import RunRecord, run_vtev
 from tevdeg.targets import degree_step
+
+
+def _marking_count(target, g, d):
+    """The forced marking count 1 - g + d*I/r as an exact rational:
+    the reference the integer gate in `make_problem` is checked against."""
+    return 1 - g + Fraction(d * target.index, target.r)
 
 
 def test_c1_pairing_examples():
@@ -42,12 +48,6 @@ def test_c1_pairing_examples():
 def test_c1_pairing_rejects_nonpositive_degree():
     with pytest.raises(ValueError):
         c1_pairing(TargetSpec.projective_space(2), 0)
-
-
-def test_marking_count_examples():
-    assert marking_count(TargetSpec.projective_space(1), 2, 3) == 5
-    assert marking_count(TargetSpec.quadric(3), 1, 4) == 4
-    assert marking_count(TargetSpec.projective_space(2), 0, 1) == Fraction(5, 2)
 
 
 def test_make_problem_accepts_and_stores_n():
@@ -80,7 +80,7 @@ def test_non_integer_n_message(target, g, d, count):
         f"marking count 1 - g + d*I/r = {count} is not an integer "
         f"(g={g}, d={d}, I={target.index}, r={target.r})"
     )
-    assert str(marking_count(target, g, d)) == count
+    assert str(_marking_count(target, g, d)) == count
 
 
 def test_make_problem_rejects_negative_n():
@@ -102,7 +102,7 @@ def test_dimension_constraint_holds_on_constructed_problems():
             target = TargetSpec.custom(r, index)
             for g in range(0, 9):
                 for d in range(1, 51):
-                    n = marking_count(target, g, d)
+                    n = _marking_count(target, g, d)
                     well_posed = (
                         n.denominator == 1
                         and n >= 0
@@ -119,7 +119,7 @@ def test_dimension_constraint_holds_on_constructed_problems():
 def _rational_gate(target, g, d):
     """The former well-posedness gate, decided on the rational marking
     count; returns n or raises. Kept as a reference for `make_problem`."""
-    n = marking_count(target, g, d)
+    n = _marking_count(target, g, d)
     if n.denominator != 1:
         raise NonIntegerN(
             f"marking count 1 - g + d*I/r = {n} is not an integer "
@@ -187,8 +187,6 @@ def test_domain_errors_are_tev_errors():
     for g, d in ((-1, 3), (0, 0), (-1, 0)):
         with pytest.raises(DomainError):
             make_problem(target, g, d)
-        with pytest.raises(DomainError):
-            marking_count(target, g, d)
     # the genus is checked before the degree, as before
     with pytest.raises(DomainError, match="genus"):
         make_problem(target, -1, 0)
@@ -354,6 +352,9 @@ def _public_callables():
             continue
         yield name, obj
         if inspect.isclass(obj):
+            # a value class declares its fields only in `__init__`
+            if inspect.isfunction(vars(obj).get("__init__")):
+                yield f"{name}.__init__", obj.__init__
             for attr, member in vars(obj).items():
                 if isinstance(member, (classmethod, staticmethod)):
                     member = member.__func__
@@ -385,11 +386,122 @@ def test_value_classes_compare_by_field():
     assert first != TargetSpec.custom(5, 2, ci_degrees=(2, 3))
 
 
-def test_vtev_result_supports_replace():
+def test_vtev_result_builds_by_keyword_and_compares_by_field():
     result = tevdeg.vtev(make_problem(TargetSpec.projective_space(2), 1, 2))
-    bumped = dataclasses.replace(result, value=result.value + 1)
-    assert bumped.value == result.value + 1
-    assert (bumped.problem, bumped.formula, bumped.factorization) == (
-        result.problem, result.formula, result.factorization
-    )
     assert result.value == 3
+    rebuilt = tevdeg.VTevResult(
+        factorization=result.factorization,
+        formula=result.formula,
+        problem=result.problem,
+        value=3,
+    )
+    assert rebuilt == result
+    bumped = tevdeg.VTevResult(
+        4, result.problem, result.formula, result.factorization
+    )
+    assert bumped != result
+
+
+# one instance of each value class, with its repr as the dataclass
+# version of the class printed it
+VALUE_REPRS = [
+    (
+        lambda: TargetSpec.custom(5, 2, 3, 3, (2, 3)),
+        "TargetSpec(kind=<TargetKind.CUSTOM: 'custom'>, r=5, e=1, index=2, "
+        "s_bound=3, t_bound=3, ci_degrees=(2, 3))",
+    ),
+    (
+        lambda: make_problem(TargetSpec.quadric(5), 1, 4),
+        "TevProblem(target=TargetSpec(kind=<TargetKind.QUADRIC: 'quadric'>, "
+        "r=5, e=2, index=5, s_bound=5, t_bound=5, ci_degrees=None), g=1, d=4, "
+        "n=4)",
+    ),
+    (
+        lambda: tevdeg.vtev(make_problem(TargetSpec.hypersurface(3, 7), 1, 7)),
+        "VTevResult(value=10368, problem=TevProblem(target=TargetSpec("
+        "kind=<TargetKind.HYPERSURFACE: 'hypersurface'>, r=7, e=3, index=6, "
+        "s_bound=6, t_bound=6, ci_degrees=None), g=1, d=7, n=6), "
+        "formula=<FormulaKind.HYPERSURFACE: 'hypersurface'>, "
+        "factorization=((2, 6), (6, 1), (3, 3)))",
+    ),
+    (
+        lambda: tevdeg.certify_target(TargetSpec.projective_space(2), 1, 2).checks[0],
+        "Check(description='d >= r(g + 1)', left=2, relation='>=', right=4, "
+        "holds=False)",
+    ),
+    (
+        lambda: tevdeg.certify_target(TargetSpec.projective_space(1), 2, 3),
+        "Certificate(status=<Status.ENUMERATIVE: 'Enumerative'>, "
+        "cited_result='line threshold: enumerative iff d >= g+1', "
+        "checks=(Check(description='d >= g + 1', left=3, relation='>=', "
+        "right=3, holds=True),), vtev_value=4, geometric_value=4)",
+    ),
+    (
+        lambda: tevdeg.very_free_search(3, 8, 5),
+        "VeryFreeReport(e=3, r=8, p=5, n=8, d=8, vtev_valuation=0, "
+        "conditions=(Check(description='r > (e+2)(e-2)', left=8, "
+        "relation='>', right=5, holds=True), Check(description='p > e', "
+        "left=5, relation='>', right=3, holds=True)), conclusion=True)",
+    ),
+    (
+        lambda: RunRecord("vtev", {"target": "p:2"}),
+        "RunRecord(command='vtev', inputs={'target': 'p:2'}, outputs={}, "
+        "citations=[], status='ok', error_kind=None)",
+    ),
+    (
+        lambda: run_vtev("p:2", 1, 2),
+        "RunRecord(command='vtev', inputs={'target': 'p:2', 'g': '1', "
+        "'d': '2'}, outputs={'value': '3', 'formula': 'projective-space', "
+        "'n': '3', 'c1_pairing': '6', 'dimension_product': '6', "
+        "'factorization': '3^1'}, citations=['closed form: projective-space'], "
+        "status='ok', error_kind=None)",
+    ),
+]
+VALUE_IDS = [
+    "TargetSpec", "TevProblem", "VTevResult", "Check", "Certificate",
+    "VeryFreeReport", "RunRecord-defaults", "RunRecord",
+]
+
+
+@pytest.mark.parametrize("build, text", VALUE_REPRS, ids=VALUE_IDS)
+def test_value_class_repr_is_the_dataclass_repr(build, text):
+    assert repr(build()) == text
+
+
+@pytest.mark.parametrize("build, text", VALUE_REPRS, ids=VALUE_IDS)
+def test_value_classes_are_equal_by_field_and_unhashable(build, text):
+    first, second = build(), build()
+    fields = list(inspect.signature(type(first)).parameters)
+    assert first is not second
+    assert first == second
+    assert not first != second
+    # another class never compares equal, not even with the same fields
+    assert first != tuple(getattr(first, name) for name in fields)
+    assert first.__eq__(object()) is NotImplemented
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(first)
+    # a change to any one field breaks equality
+    for name in fields:
+        changed = build()
+        setattr(changed, name, ("changed",))
+        assert first != changed, name
+
+
+@pytest.mark.parametrize("build, text", VALUE_REPRS, ids=VALUE_IDS)
+def test_value_classes_survive_pickle(build, text):
+    # pool workers send their records back pickled
+    value = build()
+    copy = pickle.loads(pickle.dumps(value))
+    assert type(copy) is type(value)
+    assert copy == value
+    assert repr(copy) == text
+
+
+def test_run_record_defaults_are_fresh_per_instance():
+    first, second = RunRecord("vtev", {}), RunRecord("vtev", {})
+    first.outputs["value"] = "1"
+    first.citations.append("closed form")
+    assert (second.outputs, second.citations) == ({}, [])
+    assert list(first.to_dict()) == [
+        "command", "inputs", "outputs", "citations", "status", "error_kind"
+    ]
