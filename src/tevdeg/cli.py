@@ -25,10 +25,11 @@ sweep may fan its cells out over a pool of up to N processes (never
 more than it has cells or the machine has CPUs) without changing the
 output. A Schubert sweep (`tev-p1 --method schubert|both`) always
 uses the pool. A closed-form sweep (`vtev`, `certify`, `tev-p1
---method binomial`) runs in this process unless max(g_max, d_max) *
-r * e, a bound on the size of its largest value, reaches
-`POOL_MIN_SIZE`: below that a cell costs less than the pool's
-start-up. A sweep of a target with no closed form (`gp:`, `custom:`)
+--method binomial`) runs in this process unless a bound on the size
+of its largest value reaches `POOL_MIN_SIZE`: below that a cell costs
+less than the pool's start-up. The bound is g_max * r.bit_length()
+for P^r and the line (r = 1), whose values do not grow with d, and
+max(g_max, d_max) * r * e for quadrics and hypersurfaces. A sweep of a target with no closed form (`gp:`, `custom:`)
 computes no value, so it never pools. The pool (and multiprocessing
 with it) is imported only when a sweep uses it, so single points and
 serial sweeps start faster.
@@ -345,12 +346,18 @@ POOL_MIN_SIZE = 8192
 
 
 def _size_proxy(r: int, e: int, g_max: int, d_max: int) -> int:
-    """max(g_max, d_max) * r * e for a target of dimension r and degree
-    e (r = e = 1 for the line).
+    """A bound on the bit length of a closed-form sweep's values for a
+    target of dimension r and degree e (r = e = 1 for the line).
 
-    It is known before any cell runs, and every closed-form value with
-    g <= g_max and d <= d_max has at most this many bits plus one.
+    For e = 1 (P^r and the line) it is g_max * r.bit_length(): the
+    value (r+1)^g, or at most 2^g on the line, does not grow with d,
+    and log2(r+1) <= r.bit_length(). For quadrics and hypersurfaces it
+    is max(g_max, d_max) * r * e. It is known before any cell runs, and
+    every closed-form value with g <= g_max and d <= d_max has at most
+    this many bits plus one.
     """
+    if e == 1:
+        return g_max * r.bit_length()
     return max(g_max, d_max) * r * e
 
 
@@ -444,9 +451,10 @@ _CELL_FLAGS = (
     ("--workers", {"type": int, "help": (
         "most processes a sweep may use (>= 1, capped at the cell "
         "count and the CPU count, default 1); Schubert sweeps use them, "
-        "closed-form sweeps only once max(g_max, d_max) * r * e reaches "
-        f"{POOL_MIN_SIZE}, and gp: and custom: sweeps never; output is "
-        "unchanged"
+        "closed-form sweeps only once g_max * r.bit_length() (P^r and "
+        "the line) or max(g_max, d_max) * r * e (quadrics and "
+        f"hypersurfaces) reaches {POOL_MIN_SIZE}, and gp: and custom: "
+        "sweeps never; output is unchanged"
     )}),
 )
 _OUTPUT_FLAGS = (

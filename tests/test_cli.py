@@ -666,14 +666,19 @@ def test_pool_and_fractions_load_only_when_used():
     assert "multiprocessing" in pooled
 
 
-# sweeps whose size proxy alone would pool them
+# sweeps whose size proxy alone would pool them (g_max * r.bit_length()
+# for these e = 1 targets); each window also holds well-posed cells,
+# the degrees where n = 1 - g + 7d/r is a nonnegative integer
 NO_CLOSED_FORM_SWEEPS = [
-    ["certify", "--target", "custom:100:7:3:3", "--sweep", "--g-max", "3",
-     "--d-max", "90"],
-    ["vtev", "--target", "gp:40:7", "--sweep", "--g-max", "3", "--d-max", "210"],
+    ["certify", "--target", "custom:100:7:3:3", "--sweep", "--g-min", "1200",
+     "--g-max", "1203", "--d-min", "17200", "--d-max", "17300"],
+    ["vtev", "--target", "gp:40:7", "--sweep", "--g-min", "1400",
+     "--g-max", "1403", "--d-min", "8000", "--d-max", "8100"],
 ]
 
-_NO_CLOSED_FORM_PROBE = """
+# prints, per sweep, whether running it with --workers 2 loaded the
+# pool and whether its output equals the serial run's
+_POOL_PROBE = """
 import contextlib, io, sys
 from tevdeg import cli
 
@@ -698,9 +703,21 @@ def test_sweeps_without_a_closed_form_never_pool():
         target = parse_target(args.target)
         size = cli._size_proxy(target.r, target.e, args.g_max, args.d_max)
         assert size >= cli.POOL_MIN_SIZE
-    assert _fresh_interpreter(_NO_CLOSED_FORM_PROBE % NO_CLOSED_FORM_SWEEPS) == [
+    assert _fresh_interpreter(_POOL_PROBE % NO_CLOSED_FORM_SWEEPS) == [
         "serial", "True", "serial", "True",
     ]
+
+
+# P^50 at large d: the values (51)^g have at most 39 * 6 + 1 bits, while
+# max(g_max, d_max) * r * e would read 52 950 and pool it at a loss
+P50_SWEEP = ["vtev", "--target", "p:50", "--sweep", "--g-max", "39",
+             "--d-min", "1000", "--d-max", "1059"]
+
+
+def test_projective_sweeps_at_large_degree_never_pool():
+    assert max(39, 1059) * 50 >= cli.POOL_MIN_SIZE
+    assert cli._size_proxy(50, 1, 39, 1059) == 39 * 6 < cli.POOL_MIN_SIZE
+    assert _fresh_interpreter(_POOL_PROBE % [P50_SWEEP]) == ["serial", "True"]
 
 
 def test_qh_check_compares_against_the_closed_form(capsys, monkeypatch):

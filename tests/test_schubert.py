@@ -21,7 +21,7 @@ from tevdeg import (
     tev_p1_binomial,
     tev_p1_schubert,
 )
-from tevdeg.schubert import _check_line_domain, _sigma1_power
+from tevdeg.schubert import _PACKED_MAX_G, _check_line_domain, _sigma1_power
 
 
 def _mult_partition(combo, a, b):
@@ -141,13 +141,10 @@ def _schubert_by_pieri(g, d):
     return integral(total)
 
 
-def _schubert_per_pair(g, d):
-    """The duality route with one Pieri product per unordered pair and
-    a per-term sigma_1 loop: a reference for tev_p1_schubert, which
-    reads every pair's product as a prefix of the widest one."""
-    _check_line_domain(g, d)
-    m = d + 1
-    box = m - 2
+def _sigma1_power_by_entry(g):
+    """sigma_1^g by a per-term sigma_1 loop: entry y is the multiplicity
+    of sigma_(g-y, y), and sigma_(x, y) steps to (x + 1, y) and, while
+    y < x, to (x, y + 1)."""
     power = [1]
     for k in range(g):
         step = [0] * ((k + 1) // 2 + 1)
@@ -156,6 +153,17 @@ def _schubert_per_pair(g, d):
             if y < k - y:
                 step[y + 1] += mult
         power = step
+    return power
+
+
+def _schubert_per_pair(g, d):
+    """The duality route with one Pieri product per unordered pair and
+    a per-term sigma_1 loop: a reference for tev_p1_schubert, which
+    reads every pair's product as a prefix of the widest one."""
+    _check_line_domain(g, d)
+    m = d + 1
+    box = m - 2
+    power = _sigma1_power_by_entry(g)
     weight = 2 * d - 2 - g
     total = 0
     for a in range(max(0, weight - box), weight // 2 + 1):
@@ -206,6 +214,22 @@ def test_sigma1_power_list_matches_pieri_steps():
             combo = pieri_special(combo, 1)
         expected = {(g - y, y): mult for y, mult in enumerate(_sigma1_power(g))}
         assert combo.terms == expected, g
+
+
+def test_sigma1_power_matches_per_entry_steps():
+    # g = 200 packs entries of up to 199 bits into 201-bit slots, past
+    # one and two machine words; the cut to per-entry steps is checked
+    # on both sides
+    for g in [*range(0, 201), _PACKED_MAX_G, _PACKED_MAX_G + 1]:
+        assert _sigma1_power(g) == _sigma1_power_by_entry(g), g
+
+
+@pytest.mark.parametrize("g", [127, 128, 129, 255, 256, 300, _PACKED_MAX_G + 1])
+def test_routes_agree_at_large_genus(g):
+    # the least degree with 2d - 2 - g >= 0, the diagonal, and the first
+    # degree where the count is 2^g
+    for d in ((g + 3) // 2, g, g + 1):
+        assert tev_p1_schubert(g, d) == tev_p1_binomial(g, d), (g, d)
 
 
 def test_routes_agree_and_threshold_characterizes_2_to_g():
