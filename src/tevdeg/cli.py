@@ -29,10 +29,11 @@ uses the pool. A closed-form sweep (`vtev`, `certify`, `tev-p1
 of its largest value reaches `POOL_MIN_SIZE`: below that a cell costs
 less than the pool's start-up. The bound is g_max * r.bit_length()
 for P^r and the line (r = 1), whose values do not grow with d, and
-max(g_max, d_max) * r * e for quadrics and hypersurfaces. A sweep of a target with no closed form (`gp:`, `custom:`)
-computes no value, so it never pools. The pool (and multiprocessing
-with it) is imported only when a sweep uses it, so single points and
-serial sweeps start faster.
+max(g_max, d_max) * r * e for quadrics and hypersurfaces. A sweep of
+a target with no closed form (`gp:`, `custom:`) computes no value, so
+it never pools. The pool (and multiprocessing with it) is imported
+only when a sweep uses it, so single points and serial sweeps start
+faster.
 
 Exit codes: 0 ok, 1 stdout closed early (a broken pipe, as in
 `| head`: a serial sweep or `qh-check --per-case` stops at its first

@@ -31,8 +31,6 @@ even though such triples can be well-posed.
 
 from __future__ import annotations
 
-from operator import add
-
 from .arith import binom
 from .errors import (
     DegreeUnderflow,
@@ -173,9 +171,8 @@ def tev_p1_schubert(g: int, d: int) -> int:
     bound does not depend on a, so the products are nested: each is
     the y <= a prefix of the widest one, a = w // 2, and a running
     sum over y pairs every unordered pair once (counted twice unless
-    a == b). Each call costs g big-integer steps for sigma_1^g (a
-    packed row up to `_PACKED_MAX_G`) and O(d) integer operations for
-    S, and keeps nothing between calls.
+    a == b). Each call costs g big-integer steps for sigma_1^g and
+    O(d) integer operations for S, and keeps nothing between calls.
     """
     _check_line_domain(g, d)
     m = d + 1
@@ -192,15 +189,6 @@ def tev_p1_schubert(g: int, d: int) -> int:
     return total
 
 
-# Up to this genus sigma_1^g is built as one packed integer; above it
-# the per-entry list is faster, since a packed step rewrites all
-# (g + 1) * (k // 2 + 1) bits of the row, while the list's entries of
-# sigma_1^k hold about k bits each and their per-entry overhead no
-# longer dominates. On 2 vCPUs with CPython 3.11 the two break even
-# near g = 800, and at g = 4000 the packed row is about 6x slower.
-_PACKED_MAX_G = 512
-
-
 def _sigma1_power(g: int) -> list:
     """sigma_1^g as a list: entry y is the multiplicity of
     sigma_(g-y, y).
@@ -211,34 +199,29 @@ def _sigma1_power(g: int) -> list:
     (x, y) to (x + 1, y), and to (x, y + 1) while y < x, so the step
     from sigma_1^k gains a last entry y = (k + 1) // 2 only for odd k.
 
-    Up to `_PACKED_MAX_G` the row of sigma_1^k is one integer, packed
-    Kronecker-style: entry y sits in bits [w*y, w*y + w) with
-    w = g + 1. An entry of sigma_1^k counts some of the 2^k ways to
-    apply sigma_1 k times, so it is at most 2^k <= 2^g < 2^w, and
-    each sum a step forms is an entry of sigma_1^(k+1) with k < g:
-    no carry crosses into the next entry. A Pieri step is then
-    packed += packed << w, masked at even k to drop the top entry the
-    shift adds, and the list is read out once, at the end.
+    The row of sigma_1^k is one integer, packed Kronecker-style:
+    entry y sits in bits [w*y, w*y + w) with w = g + 1. An entry of
+    sigma_1^k counts some of the 2^k ways to apply sigma_1 k times, so
+    it is at most 2^k <= 2^g < 2^w, and each sum a step forms is an
+    entry of sigma_1^(k+1) with k < g: no carry crosses into the next
+    entry. A Pieri step is then packed += packed << w, masked at even
+    k to drop the top entry the shift adds, and the list is read out
+    once, at the end.
+
+    Each step rewrites all w * (k // 2 + 1) bits of the row, much of
+    it zero padding above the low entries, so above about g = 700 the
+    steps cost more than adding the entries one by one would.
     """
-    if g > _PACKED_MAX_G:
-        power = [1]
-        for k in range(g):
-            step = [1, *map(add, power[1:], power)]
-            if k % 2:
-                step.append(power[-1])
-            power = step
-        return power
     w = g + 1
     packed = 1
-    bound = 1 << w  # 2^(w * number of entries of sigma_1^k)
+    slot = keep = (1 << w) - 1  # keep: one slot per entry of sigma_1^k
     for k in range(g):
         packed += packed << w
         if k % 2:
-            bound <<= w
+            keep |= keep << w
         else:
-            packed &= bound - 1
-    mask = (1 << w) - 1
-    return [packed >> shift & mask for shift in range(0, w * (g // 2 + 1), w)]
+            packed &= keep
+    return [packed >> shift & slot for shift in range(0, w * (g // 2 + 1), w)]
 
 
 def tev_p1_binomial(g: int, d: int) -> int:
