@@ -40,6 +40,7 @@ rational curve, by exhibiting a genus-0 count not divisible by p.
 
 from __future__ import annotations
 
+import operator
 from enum import Enum
 
 from .arith import is_prime, legendre_valuation, padic_valuation
@@ -84,12 +85,12 @@ class Status(Enum):
 
 
 _RELATIONS = {
-    "==": lambda a, b: a == b,
-    "!=": lambda a, b: a != b,
-    ">=": lambda a, b: a >= b,
-    ">": lambda a, b: a > b,
-    "<=": lambda a, b: a <= b,
-    "<": lambda a, b: a < b,
+    "==": operator.eq,
+    "!=": operator.ne,
+    ">=": operator.ge,
+    ">": operator.gt,
+    "<=": operator.le,
+    "<": operator.lt,
 }
 
 

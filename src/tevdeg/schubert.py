@@ -17,8 +17,8 @@ moduli spaces"). This module evaluates both of their expressions:
     tev_p1_schubert  - the integral over Gr(2, d+1) of sigma_1^g times
                        the sum of sigma_a * sigma_b over all ordered
                        pairs a + b = 2d - 2 - g, evaluated by duality
-                       from one Pieri product, since each pair's
-                       product is a prefix of the widest pair's;
+                       from one Pieri product, whose class sigma_(x,y)
+                       lies in exactly x - y + 1 of the pairs' products;
     tev_p1_binomial  - the closed form 2^g minus binomial corrections
                        controlled by l = d - g - 1, which vanish
                        exactly when d >= g + 1.
@@ -165,14 +165,13 @@ def tev_p1_schubert(g: int, d: int) -> int:
     S's multiplicities weighted by those of sigma_1^g, which
     `_sigma1_power` builds by g steps of the sigma_1 Pieri rule.
 
-    S needs one Pieri product per call. For a <= b the two-row rule
-    gives sigma_a * sigma_b = sum of sigma_(w-y, y) over
-    max(0, w - box) <= y <= a, each with multiplicity 1. The lower
-    bound does not depend on a, so the products are nested: each is
-    the y <= a prefix of the widest one, a = w // 2, and a running
-    sum over y pairs every unordered pair once (counted twice unless
-    a == b). Each call costs g big-integer steps for sigma_1^g and
-    O(d) integer operations for S, and keeps nothing between calls.
+    S needs one Pieri product. The two-row rule puts sigma_(x,y) in
+    sigma_a * sigma_b, with multiplicity 1, exactly when y <= a <= x:
+    x - y + 1 ordered pairs, each inside the box as a, b <= x. Every
+    such class is one of the widest product's, a = w // 2, so S sums
+    (x - y + 1) * sigma_(x,y) over that product's terms. A call costs
+    g big-integer steps for sigma_1^g plus one pass over the <= d/2 + 1
+    terms of one Pieri product, and keeps nothing between calls.
     """
     _check_line_domain(g, d)
     m = d + 1
@@ -181,11 +180,10 @@ def tev_p1_schubert(g: int, d: int) -> int:
     weight = 2 * d - 2 - g
     half = weight // 2
     terms = pieri_special(SchubertCombo.sigma(m, half), weight - half).terms
-    total = run = 0
-    for y in range(max(0, weight - box), half + 1):
-        # power[box - x] pairs sigma_(x, y) with x = weight - y
-        run += terms.get((weight - y, y), 0) * power[box - weight + y]
-        total += run if 2 * y == weight else 2 * run
+    total = 0
+    for (x, y), mult in terms.items():
+        # power[box - x] is the multiplicity of sigma_(box-y, box-x)
+        total += mult * (x - y + 1) * power[box - x]
     return total
 
 

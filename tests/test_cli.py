@@ -32,6 +32,7 @@ from tevdeg import (
     tev_p1_binomial,
 )
 from tevdeg.cli import main, parse_target, run_tev_p1, run_vtev
+from tevdeg.targets import degree_step
 
 
 def _run(capsys, argv):
@@ -395,8 +396,8 @@ def test_sweep_workers_capped_at_cpu_count(capsys, monkeypatch, pool_sizes):
     assert pooled == serial
 
 
-# On P^2 the pool rule's proxy max(g_max, d_max) * r * e is 2 * g_max
-# here, so these two genera sit on either side of cli.POOL_MIN_SIZE.
+# On P^2 the pool rule's proxy g_max * r.bit_length() is 2 * g_max, so
+# these two genera sit on either side of cli.POOL_MIN_SIZE.
 _EDGE_G = cli.POOL_MIN_SIZE // 2
 
 
@@ -407,8 +408,10 @@ def _p2_edge_sweep(g):
 
 
 # The cubic threefold's values outgrow max(g, d) * r: its proxy is
-# max(g, d) * 3 * 3, which reaches POOL_MIN_SIZE at this degree.
-_CUBIC_D = -(-cli.POOL_MIN_SIZE // 9)
+# max(g, d) * 3 * 3, which reaches POOL_MIN_SIZE at this degree, the
+# first there with an integral marking count.
+_CUBIC_STEP = degree_step(TargetSpec.hypersurface(3, 3))
+_CUBIC_D = -(-cli.POOL_MIN_SIZE // (9 * _CUBIC_STEP)) * _CUBIC_STEP
 _CUBIC_SWEEP = ["vtev", "--target", "hyp:3:3", "--sweep", "--g-min", "1",
                 "--g-max", "2", "--d-min", str(_CUBIC_D), "--d-max", str(_CUBIC_D)]
 
@@ -434,6 +437,9 @@ def test_workers_pool_only_sweeps_that_pay(capsys, pool_sizes, argv, pooled):
         argv = argv + ["--sweep", "--g-max", "4", "--d-max", "6"]
     code, serial = _run(capsys, argv + ["--json"])
     assert code == 0 and pool_sizes == []
+    if pooled:
+        # a pooled all-error sweep would show nothing about values
+        assert any(rec["status"] == "ok" for rec in _json_records(serial))
     code, out = _run(capsys, argv + ["--json", "--workers", "2"])
     assert code == 0
     assert pool_sizes == ([2] if pooled else [])

@@ -197,13 +197,21 @@ def test_pair_products_are_prefixes_of_the_widest():
         for w in range(0, 2 * box + 1):
             half = w // 2
             widest = pieri_special(SchubertCombo.sigma(m, half), w - half)
-            for a in range(max(0, w - box), half + 1):
-                prefix = {
-                    key: mult for key, mult in widest.terms.items()
-                    if key[1] <= a
-                }
+            # tev_p1_schubert weights each class of the widest product
+            # by the number of ordered pairs whose product holds it; a
+            # class outside the widest product would raise KeyError
+            pairs = dict.fromkeys(widest.terms, 0)
+            for a in range(max(0, w - box), min(w, box) + 1):
                 product = pieri_special(SchubertCombo.sigma(m, a), w - a)
-                assert product.terms == prefix, (box, w, a)
+                for key in product.terms:
+                    pairs[key] += 1
+                if a <= half:
+                    prefix = {
+                        key: mult for key, mult in widest.terms.items()
+                        if key[1] <= a
+                    }
+                    assert product.terms == prefix, (box, w, a)
+            assert pairs == {(x, y): x - y + 1 for x, y in widest.terms}, (box, w)
 
 
 def test_sigma1_power_list_matches_pieri_steps():
