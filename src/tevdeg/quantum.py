@@ -23,21 +23,27 @@ written down in closed form: this module is the independent
 cross-check for the closed-form evaluators, so it performs the ring
 arithmetic for real.
 
-`tqft_vtev` reads every value off a `PowerTable`, which memoizes the
-powers of h^r and of H by square-and-multiply. A caller that evaluates
-many cells of one P^r (as `qh-check` does) builds one table and passes
-it to each call, so H and every power are computed once for the whole
-grid. Powers are shared within one table only: no table outlives its
-caller, and nothing is cached across calls at module level.
+`tqft_vtev` reads both powers, (h^r)^n and H^g, off a `PowerTable`,
+which memoizes the powers of h^r and of H by square-and-multiply, and
+then reads the one h^r, q^d coefficient of their product without
+forming the product. A caller that evaluates many cells of one P^r
+(as `qh-check` does) builds one table and passes it to each call, so
+H and every power are computed once for the whole grid, and a cell
+whose powers are in the table takes no product at all. Powers are
+shared within one table only: no table outlives its caller, and
+nothing is cached across calls at module level.
 
 Validation happens at the public boundary only. `QElement(r, coeffs)`
-checks the rank, the slot count and the q-exponents and copies every
+checks the rank, the slot count, that every q-exponent and coefficient
+is an integer and that no q-exponent is negative, and copies every
 slot; `zero`, `one` and `h_power` check their own arguments. Ring
 operations (`q_mul`, `+`) build slots that are reduced and free
 of zero coefficients by construction and wrap them unchecked.
 """
 
 from __future__ import annotations
+
+import operator
 
 from .errors import DomainError, MismatchedRank
 
@@ -47,6 +53,22 @@ __all__ = ["PowerTable", "QElement", "handle_element", "q_mul", "tqft_vtev"]
 def _check_rank(r: int) -> None:
     if r < 1:
         raise DomainError(f"ambient projective space needs r >= 1, got {r}")
+
+
+def _integer(value, what: str) -> int:
+    """`value` as an int through `__index__`, so that a float or a
+    string raises instead of being truncated."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise DomainError(f"{what} must be an integer, got {value!r}") from None
+
+
+def _add_into(out: list, coeffs) -> None:
+    """Add the slots `coeffs` into the slot dicts `out`, in place."""
+    for bucket, slot in zip(out, coeffs):
+        for qe, c in slot.items():
+            bucket[qe] = bucket.get(qe, 0) + c
 
 
 def _nonzero(slots) -> tuple:
@@ -74,9 +96,13 @@ class QElement:
         if len(coeffs) != r + 1:
             raise DomainError(f"expected {r + 1} coefficient slots, got {len(coeffs)}")
         self.r = r
-        self.coeffs = tuple(
-            {int(qe): int(c) for qe, c in slot.items() if c} for slot in coeffs
-        )
+        self.coeffs = _nonzero([
+            {
+                _integer(qe, "q-exponent"): _integer(c, "coefficient")
+                for qe, c in slot.items()
+            }
+            for slot in coeffs
+        ])
         for slot in self.coeffs:
             if any(qe < 0 for qe in slot):
                 raise DomainError("negative q-exponents are not allowed")
@@ -124,9 +150,7 @@ class QElement:
         if self.r != other.r:
             raise MismatchedRank(f"cannot add elements over P^{self.r} and P^{other.r}")
         out = [dict(slot) for slot in self.coeffs]
-        for bucket, slot in zip(out, other.coeffs):
-            for qe, c in slot.items():
-                bucket[qe] = bucket.get(qe, 0) + c
+        _add_into(out, other.coeffs)
         return QElement._trusted(self.r, _nonzero(out))
 
     def __repr__(self) -> str:
@@ -160,6 +184,11 @@ def q_mul(a: QElement, b: QElement) -> QElement:
     monic relation h^(r+1) = c * q * h^b with b > 0 would need the fold
     to repeat until the h-degree is at most r.
 
+    Only nonzero slots are paired: b's are listed once, so the inner
+    loop never walks an empty slot. Zero coefficients are dropped only
+    when some bucket key was hit twice; a key hit once holds the
+    product of two nonzero integers, which is not zero.
+
     Both factors are trusted: `QElement(...)` validated them when they
     entered the ring, and the result is wrapped without re-checking.
     """
@@ -167,35 +196,63 @@ def q_mul(a: QElement, b: QElement) -> QElement:
         raise MismatchedRank(f"cannot multiply elements over P^{a.r} and P^{b.r}")
     r = a.r
     out: list[dict[int, int]] = [{} for _ in range(r + 1)]
+    slots_b = [(j, slot.items()) for j, slot in enumerate(b.coeffs) if slot]
+    hit_twice = False
     for i, slot_a in enumerate(a.coeffs):
         if not slot_a:
             continue
-        for j, slot_b in enumerate(b.coeffs):
-            if not slot_b:
-                continue
+        items_a = slot_a.items()
+        for j, items_b in slots_b:
             k = i + j
             if k > r:
                 bucket, shift = out[k - r - 1], 1
             else:
                 bucket, shift = out[k], 0
-            for qa, ca in slot_a.items():
-                for qb, cb in slot_b.items():
+            for qa, ca in items_a:
+                for qb, cb in items_b:
                     key = qa + qb + shift
-                    bucket[key] = bucket.get(key, 0) + ca * cb
-    return QElement._trusted(r, _nonzero(out))
+                    if key in bucket:
+                        bucket[key] += ca * cb
+                        hit_twice = True
+                    else:
+                        bucket[key] = ca * cb
+    return QElement._trusted(r, _nonzero(out) if hit_twice else tuple(out))
+
+
+def _counit_coefficient(a: QElement, b: QElement, d: int) -> int:
+    """The q^d coefficient of the h^r slot of `q_mul(a, b)`, read
+    without forming the product: sum over i and qa of
+    a_i[qa] * b_(r-i)[d - qa].
+
+    This is exactly what `q_mul` puts in slot r. Slots i and j land
+    there unfolded when i + j = r; a fold lands in slot i + j - r - 1,
+    which is r only when i + j = 2r + 1, and inputs have i + j <= 2r.
+    Beauville's relation h^(r+1) = e^e * q * h^(e-1) for a degree-e
+    hypersurface (ROADMAP item 2) folds h^(r+1+j) into h^(e-1+j),
+    which does reach slot r, so that ring must add those terms here.
+    """
+    total = 0
+    for slot_a, slot_b in zip(a.coeffs, reversed(b.coeffs)):
+        if slot_a and slot_b:
+            for qa, ca in slot_a.items():
+                total += ca * slot_b.get(d - qa, 0)
+    return total
 
 
 def handle_element(r: int) -> QElement:
     """Genus-raising element: sum over i of h^i * h^(r-i).
 
-    Every product is computed through `q_mul`; for P^r the result is
-    (r+1) * h^r with no quantum correction, because each product has
-    h-degree exactly r.
+    Every product is computed through `q_mul`, one per basis pair, from
+    r + 1 basis monomials built once; the products are summed into one
+    set of slots and wrapped once. For P^r the result is (r+1) * h^r
+    with no quantum correction, because each product has h-degree
+    exactly r.
     """
-    total = QElement.zero(r)
+    basis = [QElement.h_power(r, i) for i in range(r + 1)]
+    out: list[dict[int, int]] = [{} for _ in range(r + 1)]
     for i in range(r + 1):
-        total = total + q_mul(QElement.h_power(r, i), QElement.h_power(r, r - i))
-    return total
+        _add_into(out, q_mul(basis[i], basis[r - i]).coeffs)
+    return QElement._trusted(r, _nonzero(out))
 
 
 class PowerTable:
@@ -254,14 +311,16 @@ def tqft_vtev(
 ) -> int:
     """Genus-g, degree-d count of maps to P^r through n general points.
 
-    Evaluates (h^r)^n * H^g in the quantum ring and reads the q^d
-    coefficient of the h^r component. The ring grading enforces the
+    The q^d coefficient of the h^r component of (h^r)^n * H^g in the
+    quantum ring, read off the two powers by `_counit_coefficient`
+    without forming their product. The ring grading enforces the
     dimension constraint d*(r+1) = r*(n+g-1): tuples violating it
     return 0, so no well-posedness check is performed here.
 
     Both powers come from `powers`, a `PowerTable` over the same P^r
     that a caller evaluating many cells passes to every call; without
-    one, a fresh table serves this call alone.
+    one, a fresh table serves this call alone. When both powers are
+    already in the table, the call takes no product.
     """
     if r < 1:
         raise DomainError(f"need r >= 1, got {r}")
@@ -273,5 +332,4 @@ def tqft_vtev(
         raise MismatchedRank(
             f"power table over P^{powers.r} used for a count on P^{r}"
         )
-    element = q_mul(powers.point(n), powers.handle(g))
-    return element.coeffs[r].get(d, 0)
+    return _counit_coefficient(powers.point(n), powers.handle(g), d)

@@ -99,6 +99,14 @@ def test_q_mul_drops_cancelled_slots():
     minus_h = QElement(1, [{}, {0: -1}])
     assert (QElement.h_power(1, 1) + minus_h).coeffs == ({}, {})
     assert QElement.h_power(1, 1) + minus_h == QElement.zero(1)
+    # (1 + h)(1 - h + h^2 - q) = 1 - q + h^3 - q*h = 1 - q*h on the plane:
+    # slot 0 loses its q term (q from 1 * (-q), h * h^2 = q) and keeps 1,
+    # and slot 2 (h^2 from 1 * h^2 and h * (-h)) cancels entirely
+    a = QElement(2, [{0: 1}, {0: 1}, {}])
+    b = QElement(2, [{0: 1, 1: -1}, {0: -1}, {0: 1}])
+    product = q_mul(a, b)
+    assert product.coeffs == ({0: 1}, {1: -1}, {})
+    _assert_canonical(product)
 
 
 def test_public_constructor_still_validates():
@@ -115,6 +123,11 @@ def test_public_constructor_still_validates():
             QElement.one(r)
     # zero coefficients are dropped on the way in
     assert QElement(1, [{0: 0}, {2: 0}]) == QElement.zero(1)
+    # exponents and coefficients must be integers: nothing is truncated,
+    # so 0.4 cannot become a stored zero nor 2.5 a 2
+    for coeffs in ([{0: 0.4}, {}], [{0: 2.5}, {}], [{1.7: 1}, {}], [{0: "3"}, {}]):
+        with pytest.raises(DomainError):
+            QElement(1, coeffs)
 
 
 def test_h_power_checks_its_arguments():
@@ -219,11 +232,32 @@ def test_products_of_homogeneous_elements_are_homogeneous():
         assert _degrees(product) == {da + db}
 
 
+def _handle_by_additions(r):
+    """The handle as a chain of `+` over fresh monomials."""
+    handle = QElement.zero(r)
+    for i in range(r + 1):
+        handle = handle + q_mul(QElement.h_power(r, i), QElement.h_power(r, r - i))
+    return handle
+
+
 def test_handle_element_shape():
     # each h^i * h^(r-i) lands on h^r with no quantum correction
-    for r in range(1, 6):
+    for r in range(1, 9):
         expected = QElement(r, [{} if i < r else {0: r + 1} for i in range(r + 1)])
-        assert handle_element(r) == expected
+        assert handle_element(r) == expected == _handle_by_additions(r)
+        _assert_canonical(handle_element(r))
+
+
+def test_counit_coefficient_is_slot_r_of_the_product():
+    rng = random.Random(2718)
+    for r in range(1, 6):
+        for _ in range(30):
+            a = _random_element(rng, r)
+            b = _random_element(rng, r)
+            product = q_mul(a, b)
+            # q-exponents of a and b are at most 3, one fold adds 1
+            for d in range(9):
+                assert quantum._counit_coefficient(a, b, d) == product.coeffs[r].get(d, 0)
 
 
 def test_tqft_spot_values_on_the_line():
@@ -291,9 +325,7 @@ def _binary_power(x, k):
 def _per_cell_reference(r, g, d, n):
     """The former evaluation: a fresh handle and fresh binary powers
     over `q_mul` for every cell. Kept as a reference for `PowerTable`."""
-    handle = QElement.zero(r)
-    for i in range(r + 1):
-        handle = handle + q_mul(QElement.h_power(r, i), QElement.h_power(r, r - i))
+    handle = _handle_by_additions(r)
     point = QElement.h_power(r, r)
     element = q_mul(_binary_power(point, n), _binary_power(handle, g))
     return element.coeffs[r].get(d, 0)
@@ -340,10 +372,19 @@ def test_lone_evaluation_takes_logarithmically_many_products(monkeypatch):
     products = _count_calls(monkeypatch, "q_mul")
     r, g, d, n = 1, 2000, 3000, 4001
     assert tqft_vtev(r, g, d, n) == 2 ** g
-    # squarings and multiplications for both powers, the r + 1
-    # products of the handle, and the final product
-    bound = 2 * (math.log2(n) + math.log2(g)) + r + 2
+    # squarings and multiplications for both powers and the r + 1
+    # products of the handle; the count is read without a final product
+    bound = 2 * (math.log2(n) + math.log2(g)) + r + 1
     assert products[0] <= bound, (products[0], bound)
+
+
+def test_evaluation_from_built_powers_takes_no_product(monkeypatch):
+    powers = PowerTable(3)
+    powers.point(13)
+    powers.handle(4)
+    products = _count_calls(monkeypatch, "q_mul")
+    assert tqft_vtev(3, 4, 12, 13, powers=powers) == 4 ** 4
+    assert products[0] == 0
 
 
 def test_qh_check_builds_the_handle_once_per_call(monkeypatch):
