@@ -1,10 +1,17 @@
 """Small quantum cohomology of P^r and its genus-g evaluation.
 
 The ring is Z[q][h] / (h^(r+1) - q) with free Z[q]-basis
-1, h, ..., h^r. Multiplication is ordinary polynomial multiplication
-followed by the reduction h^(r+1+j) -> q * h^j, so everything stays
-exact and sparse. Grading: deg h = 1 and deg q = r + 1; products of
+1, h, ..., h^r. Grading: deg h = 1 and deg q = r + 1; products of
 homogeneous elements are homogeneous.
+
+The relation only eliminates q, so q -> h^(r+1) is an isomorphism of
+graded rings onto Z[h]: the basis monomial q^s * h^i (0 <= i <= r)
+is h^N with N = s*(r+1) + i, its degree. An element is stored under
+these keys, as one sparse dict from N to a nonzero integer
+coefficient, and multiplication is the plain convolution of those
+dicts. Nothing folds: h^(r+1+j) and q * h^j have the same key. So
+everything stays exact and sparse, and a homogeneous element has
+exactly one key, its degree.
 
 The ring is a Frobenius algebra over Z[q]: the counit reads off the
 h^r coefficient, and the handle element
@@ -13,10 +20,19 @@ h^r coefficient, and the handle element
 
 raises genus in the associated two-dimensional field theory. The
 genus-g, degree-d count of maps through n general points is then the
-q^d coefficient of the h^r component of (h^r)^n * H^g. The
-normalization of H (a plain sum of basis-times-dual-basis products,
-with no extra scaling) is pinned by the rank-1 checks in the test
-suite, where the genus-g counts on the line must come out 2^g.
+q^d coefficient of the h^r component of (h^r)^n * H^g, the coefficient
+of key r + d*(r+1). The normalization of H (a plain sum of
+basis-times-dual-basis products, with no extra scaling) is pinned by
+the rank-1 checks in the test suite, where the genus-g counts on the
+line must come out 2^g.
+
+Beauville's ring for a degree-e hypersurface (ROADMAP item 2),
+Z[q][h]/(h^(r+1) - e^e * q * h^(e-1)), can reuse these keys without
+being isomorphic to Z[h]: when the h-exponents of two monomials,
+na mod (r+1) and nb mod (r+1), sum past r, the product
+h^(r+1+j) -> e^e * q * h^(e-1+j) lands on key na + nb + e - 1 with
+its coefficient times e^e, and folds again while its h-exponent still
+exceeds r. For P^r, e = 1: the fold adds 0 and multiplies by 1.
 
 `handle_element` is deliberately computed with `q_mul` rather than
 written down in closed form: this module is the independent
@@ -36,9 +52,10 @@ nothing is cached across calls at module level.
 Validation happens at the public boundary only. `QElement(r, coeffs)`
 checks the rank, the slot count, that every q-exponent and coefficient
 is an integer and that no q-exponent is negative, and copies every
-slot; `zero`, `one` and `h_power` check their own arguments. Ring
-operations (`q_mul`, `+`) build slots that are reduced and free
-of zero coefficients by construction and wrap them unchecked.
+term; `zero`, `one`, `h_power`, `PowerTable` and `tqft_vtev` check
+that their own arguments are integers in range. Ring operations
+(`q_mul`, `+`) build terms that are free of zero coefficients by
+construction and wrap them unchecked.
 """
 
 from __future__ import annotations
@@ -50,11 +67,6 @@ from .errors import DomainError, MismatchedRank
 __all__ = ["PowerTable", "QElement", "handle_element", "q_mul", "tqft_vtev"]
 
 
-def _check_rank(r: int) -> None:
-    if r < 1:
-        raise DomainError(f"ambient projective space needs r >= 1, got {r}")
-
-
 def _integer(value, what: str) -> int:
     """`value` as an int through `__index__`, so that a float or a
     string raises instead of being truncated."""
@@ -64,62 +76,66 @@ def _integer(value, what: str) -> int:
         raise DomainError(f"{what} must be an integer, got {value!r}") from None
 
 
-def _add_into(out: list, coeffs) -> None:
-    """Add the slots `coeffs` into the slot dicts `out`, in place."""
-    for bucket, slot in zip(out, coeffs):
-        for qe, c in slot.items():
-            bucket[qe] = bucket.get(qe, 0) + c
-
-
-def _nonzero(slots) -> tuple:
-    """Slots with zero coefficients dropped, as an element's `coeffs`."""
-    return tuple([
-        {qe: c for qe, c in slot.items() if c} if 0 in slot.values() else slot
-        for slot in slots
-    ])
+def _check_rank(r) -> int:
+    """The rank `r` as an int, which must be at least 1."""
+    r = _integer(r, "rank")
+    if r < 1:
+        raise DomainError(f"ambient projective space needs r >= 1, got {r}")
+    return r
 
 
 class QElement:
     """Element of Z[q][h]/(h^(r+1) - q).
 
-    `coeffs[i]` is the sparse q-polynomial multiplying h^i, stored as
-    a dict mapping q-exponent to nonzero integer coefficient. Treated
-    as immutable: all operations return fresh elements.
+    `terms` maps the degree N = s*(r+1) + i of each monomial
+    q^s * h^i (0 <= i <= r) to its nonzero integer coefficient; it is
+    the element's image in Z[h] under q -> h^(r+1). `coeffs` is a
+    read-only view of the same element in the Z[q]-basis: a fresh
+    tuple of r + 1 dicts, `coeffs[i]` mapping each q-exponent s to the
+    coefficient of q^s * h^i. Treated as immutable: all operations
+    return fresh elements.
     """
 
-    __slots__ = ("r", "coeffs")
+    __slots__ = ("r", "terms")
 
     def __init__(self, r: int, coeffs=None):
-        _check_rank(r)
-        if coeffs is None:
-            coeffs = [{} for _ in range(r + 1)]
-        if len(coeffs) != r + 1:
-            raise DomainError(f"expected {r + 1} coefficient slots, got {len(coeffs)}")
+        r = _check_rank(r)
+        terms: dict[int, int] = {}
+        if coeffs is not None:
+            if len(coeffs) != r + 1:
+                raise DomainError(f"expected {r + 1} coefficient slots, got {len(coeffs)}")
+            for i, slot in enumerate(coeffs):
+                for qe, c in slot.items():
+                    qe = _integer(qe, "q-exponent")
+                    c = _integer(c, "coefficient")
+                    if qe < 0:
+                        raise DomainError("negative q-exponents are not allowed")
+                    if c:
+                        terms[qe * (r + 1) + i] = c
         self.r = r
-        self.coeffs = _nonzero([
-            {
-                _integer(qe, "q-exponent"): _integer(c, "coefficient")
-                for qe, c in slot.items()
-            }
-            for slot in coeffs
-        ])
-        for slot in self.coeffs:
-            if any(qe < 0 for qe in slot):
-                raise DomainError("negative q-exponents are not allowed")
+        self.terms = terms
 
     @classmethod
-    def _trusted(cls, r: int, coeffs: tuple) -> "QElement":
-        """Wrap a tuple of r + 1 slots with nonnegative q-exponents and
-        nonzero coefficients unchecked."""
+    def _trusted(cls, r: int, terms: dict) -> "QElement":
+        """Wrap a dict of nonnegative keys and nonzero coefficients
+        unchecked."""
         element = object.__new__(cls)
         element.r = r
-        element.coeffs = coeffs
+        element.terms = terms
         return element
+
+    @property
+    def coeffs(self) -> tuple:
+        """The r + 1 slots of the Z[q]-basis view, built afresh."""
+        m = self.r + 1
+        slots = [{} for _ in range(m)]
+        for key, c in self.terms.items():
+            slots[key % m][key // m] = c
+        return tuple(slots)
 
     @classmethod
     def zero(cls, r: int) -> "QElement":
-        _check_rank(r)
-        return cls._trusted(r, tuple({} for _ in range(r + 1)))
+        return cls._trusted(_check_rank(r), {})
 
     @classmethod
     def one(cls, r: int) -> "QElement":
@@ -128,20 +144,20 @@ class QElement:
     @classmethod
     def h_power(cls, r: int, i: int, q_exp: int = 0) -> "QElement":
         """The basis monomial q^q_exp * h^i with 0 <= i <= r."""
-        _check_rank(r)
+        r = _check_rank(r)
+        i = _integer(i, "h-power")
+        q_exp = _integer(q_exp, "q-exponent")
         if not 0 <= i <= r:
             raise DomainError(f"h-power must satisfy 0 <= i <= r, got {i}")
         if q_exp < 0:
             raise DomainError("negative q-exponents are not allowed")
-        coeffs = [{} for _ in range(r + 1)]
-        coeffs[i] = {q_exp: 1}
-        return cls._trusted(r, tuple(coeffs))
+        return cls._trusted(r, {q_exp * (r + 1) + i: 1})
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, QElement)
             and self.r == other.r
-            and self.coeffs == other.coeffs
+            and self.terms == other.terms
         )
 
     def __add__(self, other: "QElement") -> "QElement":
@@ -149,9 +165,10 @@ class QElement:
             return NotImplemented
         if self.r != other.r:
             raise MismatchedRank(f"cannot add elements over P^{self.r} and P^{other.r}")
-        out = [dict(slot) for slot in self.coeffs]
-        _add_into(out, other.coeffs)
-        return QElement._trusted(self.r, _nonzero(out))
+        out = dict(self.terms)
+        for key, c in other.terms.items():
+            out[key] = out.get(key, 0) + c
+        return QElement._trusted(self.r, {key: c for key, c in out.items() if c})
 
     def __repr__(self) -> str:
         parts = []
@@ -177,65 +194,53 @@ class QElement:
 def q_mul(a: QElement, b: QElement) -> QElement:
     """Product in Z[q][h]/(h^(r+1) - q).
 
-    Convolves the sparse coefficients and folds in the same pass: the
-    product of slots i and j lands in slot k = i + j, or, when k > r,
-    in slot k - r - 1 one power of q higher (h^(r+1+j) = q * h^j).
-    Inputs have h-degree <= r, so k <= 2r and one fold suffices. A
-    monic relation h^(r+1) = c * q * h^b with b > 0 would need the fold
-    to repeat until the h-degree is at most r.
+    The sparse convolution of the two elements' `terms`: the monomials
+    of keys na and nb multiply to key na + nb, because the ring is
+    Z[h] under q -> h^(r+1). No fold is needed, since h^(r+1+j) and
+    q * h^j share a key. Beauville's hypersurface ring would fold a
+    pair whose h-exponents sum past r (see the module docstring).
 
-    Only nonzero slots are paired: b's are listed once, so the inner
-    loop never walks an empty slot. Zero coefficients are dropped only
-    when some bucket key was hit twice; a key hit once holds the
-    product of two nonzero integers, which is not zero.
+    Zero coefficients are dropped only when some key was hit twice; a
+    key hit once holds the product of two nonzero integers, which is
+    not zero.
 
     Both factors are trusted: `QElement(...)` validated them when they
     entered the ring, and the result is wrapped without re-checking.
     """
     if a.r != b.r:
         raise MismatchedRank(f"cannot multiply elements over P^{a.r} and P^{b.r}")
-    r = a.r
-    out: list[dict[int, int]] = [{} for _ in range(r + 1)]
-    slots_b = [(j, slot.items()) for j, slot in enumerate(b.coeffs) if slot]
+    out: dict[int, int] = {}
+    items_b = b.terms.items()
     hit_twice = False
-    for i, slot_a in enumerate(a.coeffs):
-        if not slot_a:
-            continue
-        items_a = slot_a.items()
-        for j, items_b in slots_b:
-            k = i + j
-            if k > r:
-                bucket, shift = out[k - r - 1], 1
+    for na, ca in a.terms.items():
+        for nb, cb in items_b:
+            key = na + nb
+            if key in out:
+                out[key] += ca * cb
+                hit_twice = True
             else:
-                bucket, shift = out[k], 0
-            for qa, ca in items_a:
-                for qb, cb in items_b:
-                    key = qa + qb + shift
-                    if key in bucket:
-                        bucket[key] += ca * cb
-                        hit_twice = True
-                    else:
-                        bucket[key] = ca * cb
-    return QElement._trusted(r, _nonzero(out) if hit_twice else tuple(out))
+                out[key] = ca * cb
+    if hit_twice:
+        out = {key: c for key, c in out.items() if c}
+    return QElement._trusted(a.r, out)
 
 
 def _counit_coefficient(a: QElement, b: QElement, d: int) -> int:
     """The q^d coefficient of the h^r slot of `q_mul(a, b)`, read
-    without forming the product: sum over i and qa of
-    a_i[qa] * b_(r-i)[d - qa].
+    without forming the product: the coefficient of key
+    r + d*(r+1), the sum over a's keys na of a[na] * b[r + d*(r+1) - na].
 
-    This is exactly what `q_mul` puts in slot r. Slots i and j land
-    there unfolded when i + j = r; a fold lands in slot i + j - r - 1,
-    which is r only when i + j = 2r + 1, and inputs have i + j <= 2r.
-    Beauville's relation h^(r+1) = e^e * q * h^(e-1) for a degree-e
-    hypersurface (ROADMAP item 2) folds h^(r+1+j) into h^(e-1+j),
-    which does reach slot r, so that ring must add those terms here.
+    On P^r this is every pair `q_mul` adds to that key. In Beauville's
+    hypersurface ring a folded pair lands e - 1 keys above na + nb (see
+    the module docstring), so that ring must also add the pairs that
+    fold onto this key.
     """
+    r = a.r
+    target = r + d * (r + 1)
+    get = b.terms.get
     total = 0
-    for slot_a, slot_b in zip(a.coeffs, reversed(b.coeffs)):
-        if slot_a and slot_b:
-            for qa, ca in slot_a.items():
-                total += ca * slot_b.get(d - qa, 0)
+    for na, ca in a.terms.items():
+        total += ca * get(target - na, 0)
     return total
 
 
@@ -244,15 +249,16 @@ def handle_element(r: int) -> QElement:
 
     Every product is computed through `q_mul`, one per basis pair, from
     r + 1 basis monomials built once; the products are summed into one
-    set of slots and wrapped once. For P^r the result is (r+1) * h^r
-    with no quantum correction, because each product has h-degree
-    exactly r.
+    dict and wrapped once. For P^r the result is (r+1) * h^r with no
+    quantum correction, because each product has degree exactly r.
     """
+    r = _check_rank(r)
     basis = [QElement.h_power(r, i) for i in range(r + 1)]
-    out: list[dict[int, int]] = [{} for _ in range(r + 1)]
+    out: dict[int, int] = {}
     for i in range(r + 1):
-        _add_into(out, q_mul(basis[i], basis[r - i]).coeffs)
-    return QElement._trusted(r, _nonzero(out))
+        for key, c in q_mul(basis[i], basis[r - i]).terms.items():
+            out[key] = out.get(key, 0) + c
+    return QElement._trusted(r, {key: c for key, c in out.items() if c})
 
 
 class PowerTable:
@@ -273,8 +279,7 @@ class PowerTable:
     __slots__ = ("r", "_point", "_handle")
 
     def __init__(self, r: int):
-        _check_rank(r)
-        self.r = r
+        self.r = _check_rank(r)
         self._point: dict[int, QElement] | None = None
         self._handle: dict[int, QElement] | None = None
 
@@ -292,6 +297,7 @@ class PowerTable:
 def _memo_power(memo: dict[int, QElement], k: int) -> QElement:
     """memo[k] by square-and-multiply, adding each missing exponent on
     the chain k, k // 2, ... to `memo`, which holds 0 and 1."""
+    k = _integer(k, "exponent")
     if k < 0:
         raise DomainError(f"exponent must be >= 0, got {k}")
     missing = []
@@ -322,6 +328,10 @@ def tqft_vtev(
     one, a fresh table serves this call alone. When both powers are
     already in the table, the call takes no product.
     """
+    r = _integer(r, "r")
+    g = _integer(g, "g")
+    d = _integer(d, "d")
+    n = _integer(n, "n")
     if r < 1:
         raise DomainError(f"need r >= 1, got {r}")
     if g < 0 or d < 0 or n < 0:

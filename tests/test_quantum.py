@@ -70,21 +70,21 @@ def _assert_canonical(element):
 def test_q_mul_matches_two_pass_reference():
     rng = random.Random(4242)
     cancelled = 0
-    for _ in range(400):
-        r = rng.randint(1, 5)
-        a = _random_element(rng, r, coeff_max=3)
-        b = _random_element(rng, r, coeff_max=3)
-        product = q_mul(a, b)
-        assert product == _two_pass_q_mul(a, b)
-        _assert_canonical(product)
-        total = a + b
-        _assert_canonical(total)
-        cancelled += sum(
-            1
-            for i in range(r + 1)
-            for qe in set(a.coeffs[i]) & set(b.coeffs[i])
-            if a.coeffs[i][qe] + b.coeffs[i][qe] == 0
-        )
+    for r in range(1, 9):
+        for _ in range(50):
+            a = _random_element(rng, r, coeff_max=3)
+            b = _random_element(rng, r, coeff_max=3)
+            product = q_mul(a, b)
+            assert product == _two_pass_q_mul(a, b)
+            _assert_canonical(product)
+            total = a + b
+            _assert_canonical(total)
+            cancelled += sum(
+                1
+                for i in range(r + 1)
+                for qe in set(a.coeffs[i]) & set(b.coeffs[i])
+                if a.coeffs[i][qe] + b.coeffs[i][qe] == 0
+            )
     # negative coefficients must have made some slots cancel
     assert cancelled > 0
 
@@ -128,6 +128,16 @@ def test_public_constructor_still_validates():
     for coeffs in ([{0: 0.4}, {}], [{0: 2.5}, {}], [{1.7: 1}, {}], [{0: "3"}, {}]):
         with pytest.raises(DomainError):
             QElement(1, coeffs)
+    # a negative exponent is refused even when its coefficient is zero
+    with pytest.raises(DomainError, match="negative q-exponents"):
+        QElement(1, [{-1: 0}, {}])
+    # the rank must be an integer too; a bool is an int
+    for r in (1.5, 2.0, "2"):
+        with pytest.raises(DomainError):
+            QElement(r)
+        with pytest.raises(DomainError):
+            QElement.zero(r)
+    assert QElement(True, [{0: 1}, {}]) == QElement.one(1)
 
 
 def test_h_power_checks_its_arguments():
@@ -137,6 +147,11 @@ def test_h_power_checks_its_arguments():
         QElement.h_power(2, 3)
     with pytest.raises(ValueError):
         QElement.h_power(2, -1)
+    # nothing is truncated: q^0.5*h is not an element
+    for args in ((2, 1.0), (2, 1, 0.5), (2.0, 1), (2, "1")):
+        with pytest.raises(DomainError):
+            QElement.h_power(*args)
+    assert QElement.h_power(2, True, q_exp=True) == QElement(2, [{}, {1: 1}, {}])
     assert QElement.h_power(2, 1, q_exp=3) == QElement(2, [{}, {3: 1}, {}])
 
 
@@ -193,6 +208,28 @@ def test_distributivity():
         assert q_mul(a, b + c) == q_mul(a, b) + q_mul(a, c)
 
 
+def test_coeffs_view_round_trips():
+    # `coeffs` is rebuilt from the stored terms: it must read what the
+    # constructor was given, less zeros, and rebuild the same element
+    rng = random.Random(1618)
+    for r in range(1, 9):
+        for _ in range(20):
+            slots = [
+                {qe: rng.randint(-5, 5) for qe in range(4) if rng.random() < 0.4}
+                for _ in range(r + 1)
+            ]
+            x = QElement(r, slots)
+            assert x.coeffs == tuple(
+                {qe: c for qe, c in slot.items() if c} for slot in slots
+            )
+            again = QElement(x.r, x.coeffs)
+            assert again == x
+            assert repr(again) == repr(x)
+    # signed terms print slot by slot, q-exponents ascending
+    x = QElement(2, [{2: 3, 0: -1}, {1: 1}, {1: -1, 0: -2}])
+    assert repr(x) == "-1 + 3*q^2 + q*h + -2*h^2 + -q*h^2"
+
+
 def _random_homogeneous(rng, r, degree):
     coeffs = [{} for _ in range(r + 1)]
     hit = False
@@ -232,6 +269,24 @@ def test_products_of_homogeneous_elements_are_homogeneous():
         assert _degrees(product) == {da + db}
 
 
+def test_keys_of_homogeneous_elements_are_their_degrees():
+    # under q -> h^(r+1) a homogeneous element is one power of h
+    rng = random.Random(78)
+    for _ in range(60):
+        r = rng.randint(1, 8)
+        da = rng.randrange(0, 3 * (r + 1))
+        db = rng.randrange(0, 3 * (r + 1))
+        a = _random_homogeneous(rng, r, da)
+        b = _random_homogeneous(rng, r, db)
+        assert set(a.terms) == {da}
+        assert set(q_mul(a, b).terms) == {da + db}
+    for r in (1, 2, 5, 8):
+        powers = PowerTable(r)
+        for k in (0, 1, 2, 7, 12):
+            assert set(powers.point(k).terms) == {r * k}
+            assert set(powers.handle(k).terms) == {r * k}
+
+
 def _handle_by_additions(r):
     """The handle as a chain of `+` over fresh monomials."""
     handle = QElement.zero(r)
@@ -250,7 +305,7 @@ def test_handle_element_shape():
 
 def test_counit_coefficient_is_slot_r_of_the_product():
     rng = random.Random(2718)
-    for r in range(1, 6):
+    for r in range(1, 9):
         for _ in range(30):
             a = _random_element(rng, r)
             b = _random_element(rng, r)
@@ -436,3 +491,20 @@ def test_power_table_rejects_bad_input():
     with pytest.raises(MismatchedRank):
         tqft_vtev(2, 3, 6, 7, powers=PowerTable(3))
     assert tqft_vtev(2, 3, 6, 7, powers=PowerTable(2)) == 27
+    # ranks and exponents must be integers, not values that compare or
+    # hash like one
+    with pytest.raises(DomainError):
+        PowerTable(2.0)
+    with pytest.raises(DomainError):
+        handle_element(1.5)
+    for k in (2.5, 2.0):
+        with pytest.raises(DomainError):
+            PowerTable(2).point(k)
+    with pytest.raises(DomainError):
+        PowerTable(2).handle(1.0)
+    for args in ((2, 3.0, 6, 7), (2.0, 3, 6, 7), (2, 3, 6.0, 7), (2, 3, 6, "7")):
+        with pytest.raises(DomainError):
+            tqft_vtev(*args)
+        with pytest.raises(DomainError):
+            tqft_vtev(*args, powers=PowerTable(2))
+    assert tqft_vtev(True, 0, True, 3) == 1
