@@ -9,6 +9,7 @@ anywhere in this package.
 from __future__ import annotations
 
 import math
+import operator
 
 from .errors import DomainError
 
@@ -26,6 +27,16 @@ __all__ = [
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _MR_DETERMINISTIC_BOUND = 1 << 64
 _MR_EXTRA_ROUNDS = 24
+
+
+def _integer(value, what: str, error: type = DomainError) -> int:
+    """`value` as an int through `__index__`, so that a float or a
+    string raises `error` instead of being truncated; a bool is an int.
+    Shared by the ring, Schubert, target and valuation checks."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise error(f"{what} must be an integer, got {value!r}") from None
 
 
 def binom(n: int, k: int) -> int:
@@ -90,7 +101,7 @@ def legendre_valuation(m: int, p: int) -> int:
 
     Never materializes m!, so m in the millions is fine.
     """
-    if m < 0:
+    if _integer(m, "m") < 0:
         raise DomainError(f"legendre_valuation requires m >= 0, got {m}")
     _require_prime(p)
     total = 0
@@ -103,7 +114,7 @@ def legendre_valuation(m: int, p: int) -> int:
 
 def padic_valuation(x: int, p: int) -> int:
     """Largest k with p**k dividing x, for nonzero x."""
-    if x == 0:
+    if _integer(x, "x") == 0:
         raise DomainError("padic_valuation(0, p) is infinite")
     _require_prime(p)
     x = abs(x)
@@ -115,5 +126,5 @@ def padic_valuation(x: int, p: int) -> int:
 
 
 def _require_prime(p: int) -> None:
-    if not is_prime(p):
+    if not is_prime(_integer(p, "p")):
         raise DomainError(f"expected a prime, got {p}")

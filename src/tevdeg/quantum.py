@@ -53,27 +53,18 @@ Validation happens at the public boundary only. `QElement(r, coeffs)`
 checks the rank, the slot count, that every q-exponent and coefficient
 is an integer and that no q-exponent is negative, and copies every
 term; `zero`, `one`, `h_power`, `PowerTable` and `tqft_vtev` check
-that their own arguments are integers in range. Ring operations
-(`q_mul`, `+`) build terms that are free of zero coefficients by
-construction and wrap them unchecked.
+that their own arguments are integers in range, through
+`arith._integer`, the integer check the Schubert layer and `TargetSpec`
+share. Ring operations (`q_mul`, `+`) build terms that are free of zero
+coefficients by construction and wrap them unchecked.
 """
 
 from __future__ import annotations
 
-import operator
-
+from .arith import _integer
 from .errors import DomainError, MismatchedRank
 
 __all__ = ["PowerTable", "QElement", "handle_element", "q_mul", "tqft_vtev"]
-
-
-def _integer(value, what: str) -> int:
-    """`value` as an int through `__index__`, so that a float or a
-    string raises instead of being truncated."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise DomainError(f"{what} must be an integer, got {value!r}") from None
 
 
 def _check_rank(r) -> int:

@@ -18,20 +18,21 @@ moduli spaces"). This module evaluates both of their expressions:
                        the sum of sigma_a * sigma_b over all ordered
                        pairs a + b = 2d - 2 - g, evaluated by duality
                        from one Pieri product, whose class sigma_(x,y)
-                       lies in exactly x - y + 1 of the pairs' products;
+                       lies in exactly x - y + 1 of the pairs' products,
+                       and sigma_1^g from g/2 + 1 binomial ratio steps;
     tev_p1_binomial  - the closed form 2^g minus binomial corrections
                        controlled by l = d - g - 1, which vanish
                        exactly when d >= g + 1.
 
-The two routes share no code beyond the domain check and are
-cross-checked over a grid in the test suite. Both reject
-2d - 2 - g < 0 (DegreeUnderflow): no claim is made for that range,
-even though such triples can be well-posed.
+The two routes share no code beyond the domain check (no `arith.binom`
+on the Schubert side) and are cross-checked over a grid in the test
+suite. Both reject 2d - 2 - g < 0 (DegreeUnderflow): no claim is made
+for that range, even though such triples can be well-posed.
 """
 
 from __future__ import annotations
 
-from .arith import binom
+from .arith import _integer, binom
 from .errors import (
     DegreeUnderflow,
     DomainError,
@@ -52,24 +53,27 @@ class SchubertCombo:
     """Integer combination of Schubert classes on Gr(2, m).
 
     `terms` maps partitions (a, b) to nonzero multiplicities; zero
-    multiplicities are never stored. Treated as immutable.
+    multiplicities are never stored, and no argument is truncated to
+    an integer. Treated as immutable.
     """
 
     __slots__ = ("m", "terms")
 
     def __init__(self, m: int, terms=None):
+        self.m = m = _integer(m, "m")
         if m < 2:
             raise DomainError(f"Gr(2, m) needs m >= 2, got {m}")
-        self.m = m
         box = m - 2
         clean: dict[tuple[int, int], int] = {}
         for (a, b), mult in (terms or {}).items():
+            a, b = _integer(a, "partition entry"), _integer(b, "partition entry")
             if not box >= a >= b >= 0:
                 raise DomainError(
                     f"partition ({a}, {b}) outside the 2 x {box} box"
                 )
+            mult = _integer(mult, "multiplicity")
             if mult:
-                clean[(a, b)] = int(mult)
+                clean[(a, b)] = mult
         self.terms = clean
 
     @classmethod
@@ -130,6 +134,7 @@ def pieri_special(c: SchubertCombo, a: int) -> SchubertCombo:
     truncation the finite Grassmannian imposes.
     """
     box = c.m - 2
+    a = _integer(a, "special class index")
     if a < 0 or a > box:
         raise SpecialClassOutOfBox(
             f"sigma_{a} is not a class on Gr(2, {c.m})"
@@ -163,14 +168,14 @@ def tev_p1_schubert(g: int, d: int) -> int:
     box. By duality the integral of sigma_1^g * sigma_(x,y) is the
     multiplicity of sigma_(box-y, box-x) in sigma_1^g, so the count is
     S's multiplicities weighted by those of sigma_1^g, which
-    `_sigma1_power` builds by g steps of the sigma_1 Pieri rule.
+    `_sigma1_power` counts as standard tableaux.
 
     S needs one Pieri product. The two-row rule puts sigma_(x,y) in
     sigma_a * sigma_b, with multiplicity 1, exactly when y <= a <= x:
     x - y + 1 ordered pairs, each inside the box as a, b <= x. Every
     such class is one of the widest product's, a = w // 2, so S sums
     (x - y + 1) * sigma_(x,y) over that product's terms. A call costs
-    g big-integer steps for sigma_1^g plus one pass over the <= d/2 + 1
+    g/2 + 1 ratio steps for sigma_1^g plus one pass over the <= d/2 + 1
     terms of one Pieri product, and keeps nothing between calls.
     """
     _check_line_domain(g, d)
@@ -191,35 +196,21 @@ def _sigma1_power(g: int) -> list:
     """sigma_1^g as a list: entry y is the multiplicity of
     sigma_(g-y, y).
 
-    The box is not imposed: sigma_1 never lowers the first row, so a
-    class that leaves the box never re-enters it, and the duality
-    pairing reads only classes inside it. One sigma_1 step sends
-    (x, y) to (x + 1, y), and to (x, y + 1) while y < x, so the step
-    from sigma_1^k gains a last entry y = (k + 1) // 2 only for odd k.
-
-    The row of sigma_1^k is one integer, packed Kronecker-style:
-    entry y sits in bits [w*y, w*y + w) with w = g + 1. An entry of
-    sigma_1^k counts some of the 2^k ways to apply sigma_1 k times, so
-    it is at most 2^k <= 2^g < 2^w, and each sum a step forms is an
-    entry of sigma_1^(k+1) with k < g: no carry crosses into the next
-    entry. A Pieri step is then packed += packed << w, masked at even
-    k to drop the top entry the shift adds, and the list is read out
-    once, at the end.
-
-    Each step rewrites all w * (k // 2 + 1) bits of the row, much of
-    it zero padding above the low entries, so above about g = 700 the
-    steps cost more than adding the entries one by one would.
+    Each sigma_1 step adds one box to a two-row diagram, so that
+    multiplicity counts the saturated chains from the empty partition
+    to (g-y, y) in Young's lattice: the standard tableaux of that
+    shape, C(g, y) - C(g, y-1) by the hook length formula. The binomial
+    steps by the exact ratio C(g, y+1) = C(g, y) * (g-y) / (y+1). The
+    box is not imposed: sigma_1 never shortens the first row, so a
+    chain that leaves the box never re-enters it, and the duality
+    pairing reads only classes inside it.
     """
-    w = g + 1
-    packed = 1
-    slot = keep = (1 << w) - 1  # keep: one slot per entry of sigma_1^k
-    for k in range(g):
-        packed += packed << w
-        if k % 2:
-            keep |= keep << w
-        else:
-            packed &= keep
-    return [packed >> shift & slot for shift in range(0, w * (g // 2 + 1), w)]
+    power = []
+    below, c = 0, 1  # C(g, y-1) and C(g, y)
+    for y in range(g // 2 + 1):
+        power.append(c - below)
+        below, c = c, c * (g - y) // (y + 1)
+    return power
 
 
 def tev_p1_binomial(g: int, d: int) -> int:
@@ -241,9 +232,9 @@ def tev_p1_binomial(g: int, d: int) -> int:
 
 
 def _check_line_domain(g: int, d: int) -> None:
-    if g < 0:
+    if _integer(g, "genus", LineDomainError) < 0:
         raise LineDomainError(f"genus must be >= 0, got {g}")
-    if d < 1:
+    if _integer(d, "degree", LineDomainError) < 1:
         raise LineDomainError(f"degree must be >= 1, got {d}")
     if 2 * d - 2 - g < 0:
         raise DegreeUnderflow(

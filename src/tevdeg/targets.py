@@ -23,6 +23,7 @@ from __future__ import annotations
 from enum import Enum
 from math import gcd
 
+from .arith import _integer
 from .errors import (
     DomainError,
     InvalidTarget,
@@ -83,8 +84,9 @@ class TargetSpec(ValueObject):
     must be positive. `s_bound` and `t_bound` are the minimal c1
     pairings over curve classes with surjective one-point (resp.
     two-point) evaluation; for homogeneous and custom targets they are
-    recorded as asserted by the caller, never derived. Treated as
-    immutable: nothing changes a spec after the constructor.
+    recorded as asserted by the caller, never derived. A non-integer
+    invariant raises InvalidTarget rather than being truncated. Treated
+    as immutable: nothing changes a spec after the constructor.
     """
 
     __slots__ = _fields = (
@@ -102,34 +104,38 @@ class TargetSpec(ValueObject):
         ci_degrees: tuple[int, ...] | None = None,
     ) -> None:
         self.kind = kind
-        self.r = r
-        self.e = e
-        self.index = index
+        self.r = r = _integer(r, "dimension r", InvalidTarget)
+        self.e = e = _integer(e, "degree e", InvalidTarget)
+        self.index = index = _integer(index, "index", InvalidTarget)
+        if r < 1:
+            raise InvalidTarget(f"dimension must be >= 1, got r={r}")
+        if e < 1:
+            raise InvalidTarget(f"degree must be >= 1, got e={e}")
+        if index <= 0:
+            raise NonFano(
+                f"anticanonical degree {index} is not positive; "
+                "the target is not Fano"
+            )
+        if s_bound is not None:
+            s_bound = _integer(s_bound, "s bound", InvalidTarget)
+            if s_bound < 1:
+                raise InvalidTarget(f"s bound must be >= 1, got {s_bound}")
+        if t_bound is not None:
+            t_bound = _integer(t_bound, "t bound", InvalidTarget)
+            if t_bound < 1:
+                raise InvalidTarget(f"t bound must be >= 1, got {t_bound}")
+            if s_bound is not None and s_bound < t_bound:
+                raise InvalidTarget("s bound cannot be smaller than t bound")
+        if ci_degrees is not None:
+            ci_degrees = tuple([
+                _integer(e_i, "complete intersection degree", InvalidTarget)
+                for e_i in ci_degrees
+            ])
+            if any(e_i < 1 for e_i in ci_degrees):
+                raise InvalidTarget("complete intersection degrees must be >= 1")
         self.s_bound = s_bound
         self.t_bound = t_bound
         self.ci_degrees = ci_degrees
-        if self.r < 1:
-            raise InvalidTarget(f"dimension must be >= 1, got r={self.r}")
-        if self.e < 1:
-            raise InvalidTarget(f"degree must be >= 1, got e={self.e}")
-        if self.index <= 0:
-            raise NonFano(
-                f"anticanonical degree {self.index} is not positive; "
-                "the target is not Fano"
-            )
-        for name, bound in (("s", self.s_bound), ("t", self.t_bound)):
-            if bound is not None and bound < 1:
-                raise InvalidTarget(f"{name} bound must be >= 1, got {bound}")
-        if (
-            self.s_bound is not None
-            and self.t_bound is not None
-            and self.s_bound < self.t_bound
-        ):
-            raise InvalidTarget("s bound cannot be smaller than t bound")
-        if self.ci_degrees is not None:
-            self.ci_degrees = tuple(self.ci_degrees)
-            if any(e_i < 1 for e_i in self.ci_degrees):
-                raise InvalidTarget("complete intersection degrees must be >= 1")
 
     @classmethod
     def projective_space(cls, r: int) -> "TargetSpec":

@@ -195,6 +195,11 @@ def test_is_prime_known_hard_cases():
         (legendre_valuation, (4, 6)),
         (padic_valuation, (0, 5)),
         (padic_valuation, (10, 4)),
+        # non-integers raise rather than giving a float valuation
+        (legendre_valuation, (5.0, 2)),
+        (legendre_valuation, (5, 2.0)),
+        (padic_valuation, (8.0, 2)),
+        (padic_valuation, (8, 2.0)),
     ],
 )
 def test_domain_violations_are_tev_errors(call, args):

@@ -133,7 +133,7 @@ def test_public_constructor_still_validates():
         QElement(1, [{-1: 0}, {}])
     # the rank must be an integer too; a bool is an int
     for r in (1.5, 2.0, "2"):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match=f"rank must be an integer, got {r!r}"):
             QElement(r)
         with pytest.raises(DomainError):
             QElement.zero(r)

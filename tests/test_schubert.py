@@ -225,18 +225,33 @@ def test_sigma1_power_list_matches_pieri_steps():
 
 
 def test_sigma1_power_matches_per_entry_steps():
-    # g = 200 packs entries of up to 199 bits into 201-bit slots, past
-    # one and two machine words
+    # up to g = 200, where entries reach 193 bits and the binomial the
+    # ratio steps carry 196: exact division past one and two machine
+    # words
     for g in range(0, 201):
         assert _sigma1_power(g) == _sigma1_power_by_entry(g), g
 
 
-@pytest.mark.parametrize("g", [127, 128, 129, 255, 256, 300])
+@pytest.mark.parametrize("g", [127, 128, 129, 255, 256, 300, 500, 701, 1000, 4000])
 def test_routes_agree_at_large_genus(g):
     # the least degree with 2d - 2 - g >= 0, the diagonal, and the first
     # degree where the count is 2^g
     for d in ((g + 3) // 2, g, g + 1):
         assert tev_p1_schubert(g, d) == tev_p1_binomial(g, d), (g, d)
+
+
+def test_schubert_route_calls_no_binomial_helper(monkeypatch):
+    # the two routes check each other only if the Schubert one never
+    # reaches the binomials of the closed form
+    def refuse(n, k):
+        raise AssertionError(f"binom({n}, {k}) called")
+
+    monkeypatch.setattr("tevdeg.schubert.binom", refuse)
+    with pytest.raises(AssertionError):
+        tev_p1_binomial(3, 4)
+    for g in range(0, 21):
+        for d in range((g + 3) // 2, 22):
+            assert tev_p1_schubert(g, d) == _schubert_per_pair(g, d), (g, d)
 
 
 def test_routes_agree_and_threshold_characterizes_2_to_g():

@@ -28,6 +28,9 @@ from tevdeg import (
     check_complete_intersection,
     check_star2_prime0_hypersurface,
     make_problem,
+    pieri_special,
+    tev_p1_binomial,
+    tev_p1_schubert,
 )
 from tevdeg.cli import RunRecord, run_vtev
 from tevdeg.targets import degree_step
@@ -195,6 +198,21 @@ def test_domain_errors_are_tev_errors():
     assert LineDomainError("x").kind == "LineDomainError"
 
 
+# Non-integer arguments and the error each raises: nothing is truncated,
+# so no zero multiplicity is stored and no "exact" value is a float.
+NON_INTEGER_CALLS = [
+    (lambda: SchubertCombo(5, {(1, 0): 0.5}), DomainError),
+    (lambda: SchubertCombo(5.0, {(1, 0): 1}), DomainError),
+    (lambda: SchubertCombo(5, {(1.0, 0): 1}), DomainError),
+    (lambda: pieri_special(SchubertCombo.sigma(5, 1), 1.0), DomainError),
+    (lambda: tev_p1_schubert(3.0, 4), LineDomainError),
+    (lambda: tev_p1_binomial(3, 4.0), LineDomainError),
+    (lambda: TargetSpec.projective_space(2.0), InvalidTarget),
+    (lambda: TargetSpec.homogeneous(3, 2, s_bound=2.5), InvalidTarget),
+    (lambda: TargetSpec.custom(5, 2, 3, 3, ci_degrees=(2, 3.0)), InvalidTarget),
+]
+
+
 @pytest.mark.parametrize(
     "call",
     [
@@ -211,12 +229,25 @@ def test_domain_errors_are_tev_errors():
         lambda: TevProblem(TargetSpec.projective_space(1), 2, 3, 4),
         lambda: check_complete_intersection(1, 1, 1, [0]),
         lambda: check_star2_prime0_hypersurface(2, 10),
+        *(call for call, _ in NON_INTEGER_CALLS),
     ],
 )
 def test_public_constructors_and_criteria_raise_tev_errors(call):
     # a caller catching TevError, as the CLI does, catches every one
     with pytest.raises(TevError):
         call()
+
+
+@pytest.mark.parametrize("call, kind", NON_INTEGER_CALLS)
+def test_non_integers_raise_instead_of_truncating(call, kind):
+    with pytest.raises(kind, match="must be an integer, got"):
+        call()
+
+
+def test_a_bool_passes_the_integer_check():
+    assert TargetSpec.projective_space(True) == TargetSpec.projective_space(1)
+    assert SchubertCombo(5, {(True, False): True}) == SchubertCombo.sigma(5, 1)
+    assert tev_p1_schubert(True, 2) == tev_p1_binomial(1, 2) == 2
 
 
 def test_tev_problem_rejects_inconsistent_n():
