@@ -32,7 +32,7 @@ _MR_EXTRA_ROUNDS = 24
 def _integer(value, what: str, error: type = DomainError) -> int:
     """`value` as an int through `__index__`, so that a float or a
     string raises `error` instead of being truncated; a bool is an int.
-    Shared by the ring, Schubert, target and valuation checks."""
+    Shared by every public door that takes an integer."""
     try:
         return operator.index(value)
     except TypeError:
@@ -82,6 +82,7 @@ def is_prime(n: int) -> bool:
     24 extra rounds with bases drawn from a generator seeded by n, so
     the answer is reproducible and the function stays pure.
     """
+    n = _integer(n, "n")
     if n < 2:
         return False
     for p in _MR_WITNESSES:

@@ -43,7 +43,7 @@ from __future__ import annotations
 import operator
 from enum import Enum
 
-from .arith import is_prime, legendre_valuation, padic_valuation
+from .arith import _integer, is_prime, legendre_valuation, padic_valuation
 from .closed_forms import check_hypersurface_range, vtev
 from .errors import (
     DomainError,
@@ -220,6 +220,7 @@ def check_condition_ii(s: int, t: int, r: int) -> bool:
     s and t are the minimal anticanonical pairings over curve classes
     with surjective one- and two-point evaluation maps; s >= t >= 1.
     """
+    s, t, r = _integer(s, "s"), _integer(t, "t"), _integer(r, "r")
     if not s >= t >= 1:
         raise DomainError(f"need s >= t >= 1, got s={s}, t={t}")
     if r < 1:
@@ -234,7 +235,8 @@ def check_complete_intersection(index: int, s: int, r: int, degrees) -> bool:
     Accepts any integers for index and s so the inequality can be
     probed across whole parameter grids, including degenerate corners.
     """
-    degrees = tuple(degrees)
+    index, s, r = _integer(index, "index"), _integer(s, "s"), _integer(r, "r")
+    degrees = tuple([_integer(e_i, "degree") for e_i in degrees])
     if any(e_i < 1 for e_i in degrees):
         raise DomainError(f"degrees must be >= 1, got {degrees}")
     return _complete_intersection_check(index, s, r, degrees).holds
@@ -242,6 +244,7 @@ def check_complete_intersection(index: int, s: int, r: int, degrees) -> bool:
 
 def check_star2_prime0_hypersurface(e: int, r: int) -> bool:
     """Genus-0 criterion r > (e+2)(e-2) for degree-e hypersurfaces."""
+    e, r = _integer(e, "e"), _integer(r, "r")
     if e < 3:
         raise HypothesisViolation(f"criterion needs e >= 3, got {e}")
     return _genus0_hypersurface_check(e, r).holds
@@ -373,6 +376,7 @@ def very_free_search(e: int, r: int, p: int) -> VeryFreeReport:
     valuation is 0; a True conclusion certifies a very free rational
     curve on a general degree-e hypersurface in characteristic p.
     """
+    e, r, p = _integer(e, "e"), _integer(r, "r"), _integer(p, "p")
     if e < 3:
         raise HypothesisViolation(f"very-free search needs e >= 3, got {e}")
     if r < 1:

@@ -54,9 +54,9 @@ checks the rank, the slot count, that every q-exponent and coefficient
 is an integer and that no q-exponent is negative, and copies every
 term; `zero`, `one`, `h_power`, `PowerTable` and `tqft_vtev` check
 that their own arguments are integers in range, through
-`arith._integer`, the integer check the Schubert layer and `TargetSpec`
-share. Ring operations (`q_mul`, `+`) build terms that are free of zero
-coefficients by construction and wrap them unchecked.
+`arith._integer`, the package's one integer check. Ring operations
+(`q_mul`, `+`) build terms that are free of zero coefficients by
+construction and wrap them unchecked.
 """
 
 from __future__ import annotations
@@ -156,10 +156,7 @@ class QElement:
             return NotImplemented
         if self.r != other.r:
             raise MismatchedRank(f"cannot add elements over P^{self.r} and P^{other.r}")
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            out[key] = out.get(key, 0) + c
-        return QElement._trusted(self.r, {key: c for key, c in out.items() if c})
+        return _sum_terms(self.r, (self.terms, other.terms))
 
     def __repr__(self) -> str:
         parts = []
@@ -245,9 +242,17 @@ def handle_element(r: int) -> QElement:
     """
     r = _check_rank(r)
     basis = [QElement.h_power(r, i) for i in range(r + 1)]
+    return _sum_terms(
+        r, [q_mul(basis[i], basis[r - i]).terms for i in range(r + 1)]
+    )
+
+
+def _sum_terms(r: int, term_dicts) -> QElement:
+    """The element over P^r whose terms are the sum of `term_dicts`,
+    with the zero coefficients dropped, wrapped unchecked."""
     out: dict[int, int] = {}
-    for i in range(r + 1):
-        for key, c in q_mul(basis[i], basis[r - i]).terms.items():
+    for terms in term_dicts:
+        for key, c in terms.items():
             out[key] = out.get(key, 0) + c
     return QElement._trusted(r, {key: c for key, c in out.items() if c})
 

@@ -140,6 +140,7 @@ class TargetSpec(ValueObject):
     @classmethod
     def projective_space(cls, r: int) -> "TargetSpec":
         """P^r; lines realize both minimal pairings, so s = t = r + 1."""
+        r = _integer(r, "dimension r", InvalidTarget)
         if r < 1:
             raise InvalidTarget(f"projective space needs r >= 1, got {r}")
         return cls(
@@ -160,8 +161,10 @@ class TargetSpec(ValueObject):
         closed form. The index is r + 2 - e, which is also t, and s is
         the conservative choice s = t.
         """
+        e = _integer(e, "degree e", InvalidTarget)
         if e < 1:
             raise InvalidTarget(f"hypersurface degree must be >= 1, got {e}")
+        r = _integer(r, "dimension r", InvalidTarget)
         if e == 1:
             return cls.projective_space(r)
         if e == 2:
@@ -181,6 +184,7 @@ class TargetSpec(ValueObject):
     @classmethod
     def quadric(cls, r: int) -> "TargetSpec":
         """Smooth quadric of dimension r >= 3 (Picard rank 1, index r)."""
+        r = _integer(r, "dimension r", InvalidTarget)
         if r < 3:
             raise InvalidTarget(
                 f"quadric targets need dimension >= 3, got {r}"
@@ -248,8 +252,8 @@ class TargetSpec(ValueObject):
 class TevProblem(ValueObject):
     """A well-posed counting problem: target, genus, degree, markings.
 
-    Construction decides well-posedness once n is known: g >= 0 and
-    d >= 1 (DomainError), the dimension constraint
+    Construction decides well-posedness once n is known: integers
+    g >= 0, d >= 1 and n (DomainError), the dimension constraint
     d * index = r * (n + g - 1) (DomainError), n >= 0 (NegativeN), and
     2g - 2 + n > 0 (UnstableRange). Treated as immutable.
     """
@@ -258,11 +262,10 @@ class TevProblem(ValueObject):
 
     def __init__(self, target: TargetSpec, g: int, d: int, n: int) -> None:
         self.target = target
-        self.g = g
+        self.g = g = _check_genus(g)
         self.d = d
-        self.n = n
-        _check_genus(g)
         lhs = c1_pairing(target, d)
+        self.n = n = _integer(n, "marking count")
         rhs = target.r * (n + g - 1)
         if lhs != rhs:
             raise DomainError(
@@ -280,14 +283,17 @@ class TevProblem(ValueObject):
 
 def c1_pairing(target: TargetSpec, d: int) -> int:
     """Pairing of c1 of the target with a degree-d curve class."""
+    d = _integer(d, "curve degree")
     if d < 1:
         raise DomainError(f"curve degree must be >= 1, got {d}")
     return d * target.index
 
 
-def _check_genus(g: int) -> None:
+def _check_genus(g: int) -> int:
+    g = _integer(g, "genus")
     if g < 0:
         raise DomainError(f"genus must be >= 0, got {g}")
+    return g
 
 
 def degree_step(target: TargetSpec) -> int:
@@ -305,15 +311,16 @@ def make_problem(target: TargetSpec, g: int, d: int) -> TevProblem:
     """Compute the forced marking count and build the problem instance.
 
     Raises NonIntegerN when n is not an integer, and DomainError when
-    g < 0 or d < 1; the `TevProblem` constructor then raises NegativeN
-    or UnstableRange. NonFano cannot survive TargetSpec construction,
-    but a spec's fields can be reassigned, so it is re-checked here.
+    g or d is not an integer, g < 0 or d < 1; the `TevProblem`
+    constructor then raises NegativeN or UnstableRange. NonFano cannot
+    survive TargetSpec construction, but a spec's fields can be
+    reassigned, so it is re-checked here.
     Everything is decided in integers, the NonIntegerN message too: it
     spells the marking count as the reduced fraction num/den.
     """
     if target.index <= 0:
         raise NonFano(f"target has anticanonical degree {target.index} <= 0")
-    _check_genus(g)
+    g = _check_genus(g)
     c1 = c1_pairing(target, d)
     quotient, remainder = divmod(c1, target.r)
     if remainder:

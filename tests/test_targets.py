@@ -26,11 +26,14 @@ from tevdeg import (
     UnstableRange,
     c1_pairing,
     check_complete_intersection,
+    check_condition_ii,
     check_star2_prime0_hypersurface,
+    is_prime,
     make_problem,
     pieri_special,
     tev_p1_binomial,
     tev_p1_schubert,
+    very_free_search,
 )
 from tevdeg.cli import RunRecord, run_vtev
 from tevdeg.targets import degree_step
@@ -210,6 +213,27 @@ NON_INTEGER_CALLS = [
     (lambda: TargetSpec.projective_space(2.0), InvalidTarget),
     (lambda: TargetSpec.homogeneous(3, 2, s_bound=2.5), InvalidTarget),
     (lambda: TargetSpec.custom(5, 2, 3, 3, ci_degrees=(2, 3.0)), InvalidTarget),
+    # well-posedness: g, d and n, through both doors
+    (lambda: make_problem(TargetSpec.projective_space(2), 2.0, 2), DomainError),
+    (lambda: make_problem(TargetSpec.projective_space(2), 2, "2"), DomainError),
+    (lambda: TevProblem(TargetSpec.projective_space(2), 2, 2.0, 2), DomainError),
+    (lambda: TevProblem(TargetSpec.projective_space(2), 2, 2, 2.0), DomainError),
+    (lambda: c1_pairing(TargetSpec.projective_space(2), 2.5), DomainError),
+    # a factory converts before its own range check
+    (lambda: TargetSpec.projective_space("2"), InvalidTarget),
+    (lambda: TargetSpec.quadric("5"), InvalidTarget),
+    (lambda: TargetSpec.hypersurface("3", 7), InvalidTarget),
+    (lambda: TargetSpec.hypersurface(3, "7"), InvalidTarget),
+    # the public criteria, primality and the very-free search
+    (lambda: check_condition_ii(3.5, 2, 4), DomainError),
+    (lambda: check_condition_ii(3, "2", 4), DomainError),
+    (lambda: check_star2_prime0_hypersurface(3.0, 8), DomainError),
+    (lambda: check_star2_prime0_hypersurface(3, "8"), DomainError),
+    (lambda: check_complete_intersection(2.5, 1, 3, [2.0]), DomainError),
+    (lambda: check_complete_intersection(2, 1, 3, ["2"]), DomainError),
+    (lambda: is_prime(5.0), DomainError),
+    (lambda: is_prime("7"), DomainError),
+    (lambda: very_free_search("3", 8, 5), DomainError),
 ]
 
 
@@ -242,6 +266,11 @@ def test_public_constructors_and_criteria_raise_tev_errors(call):
 def test_non_integers_raise_instead_of_truncating(call, kind):
     with pytest.raises(kind, match="must be an integer, got"):
         call()
+
+
+def test_very_free_search_names_a_float_characteristic():
+    with pytest.raises(DomainError, match=r"^p must be an integer, got 5\.0$"):
+        very_free_search(3, 8, 5.0)
 
 
 def test_a_bool_passes_the_integer_check():
