@@ -102,9 +102,10 @@ def legendre_valuation(m: int, p: int) -> int:
 
     Never materializes m!, so m in the millions is fine.
     """
-    if _integer(m, "m") < 0:
+    m = _integer(m, "m")
+    if m < 0:
         raise DomainError(f"legendre_valuation requires m >= 0, got {m}")
-    _require_prime(p)
+    p = _require_prime(p)
     total = 0
     power = p
     while power <= m:
@@ -115,9 +116,10 @@ def legendre_valuation(m: int, p: int) -> int:
 
 def padic_valuation(x: int, p: int) -> int:
     """Largest k with p**k dividing x, for nonzero x."""
-    if _integer(x, "x") == 0:
+    x = _integer(x, "x")
+    if x == 0:
         raise DomainError("padic_valuation(0, p) is infinite")
-    _require_prime(p)
+    p = _require_prime(p)
     x = abs(x)
     k = 0
     while x % p == 0:
@@ -126,6 +128,8 @@ def padic_valuation(x: int, p: int) -> int:
     return k
 
 
-def _require_prime(p: int) -> None:
-    if not is_prime(_integer(p, "p")):
+def _require_prime(p: int) -> int:
+    p = _integer(p, "p")
+    if not is_prime(p):
         raise DomainError(f"expected a prime, got {p}")
+    return p

@@ -178,7 +178,7 @@ def tev_p1_schubert(g: int, d: int) -> int:
     g/2 + 1 ratio steps for sigma_1^g plus one pass over the <= d/2 + 1
     terms of one Pieri product, and keeps nothing between calls.
     """
-    _check_line_domain(g, d)
+    g, d = _check_line_domain(g, d)
     m = d + 1
     box = m - 2
     power = _sigma1_power(g)
@@ -223,7 +223,7 @@ def tev_p1_binomial(g: int, d: int) -> int:
 
     where out-of-range binomials vanish. Equals 2^g iff d >= g + 1.
     """
-    _check_line_domain(g, d)
+    g, d = _check_line_domain(g, d)
     l = d - g - 1
     correction = -2 * sum(binom(g, i) for i in range(0, -l - 1))
     correction += (-l - 2) * binom(g, -l - 1)
@@ -231,12 +231,16 @@ def tev_p1_binomial(g: int, d: int) -> int:
     return 2 ** g + correction
 
 
-def _check_line_domain(g: int, d: int) -> None:
-    if _integer(g, "genus", LineDomainError) < 0:
+def _check_line_domain(g: int, d: int) -> tuple[int, int]:
+    """(g, d) as ints, once both lie in the line routes' domain."""
+    g = _integer(g, "genus", LineDomainError)
+    if g < 0:
         raise LineDomainError(f"genus must be >= 0, got {g}")
-    if _integer(d, "degree", LineDomainError) < 1:
+    d = _integer(d, "degree", LineDomainError)
+    if d < 1:
         raise LineDomainError(f"degree must be >= 1, got {d}")
     if 2 * d - 2 - g < 0:
         raise DegreeUnderflow(
             f"2d - 2 - g = {2 * d - 2 - g} is negative for (g, d) = ({g}, {d})"
         )
+    return g, d

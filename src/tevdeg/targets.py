@@ -11,11 +11,11 @@ For genus g and degree d the marking count is forced by dimensions:
     n = 1 - g + d * I / r
 
 A triple is well-posed when n is a nonnegative integer and (g, n) is
-in the stable range 2g - 2 + n > 0. Each check lives in one place:
-`TargetSpec` checks the target, `make_problem` computes n and rejects
-a non-integral one, and the `TevProblem` constructor checks the rest.
-So every constructed problem is well-posed, and one built directly
-with the forced n raises exactly what `make_problem` raises.
+in the stable range 2g - 2 + n > 0. So a problem is fixed by the
+target, g and d alone, and there is one door to it: `TargetSpec`
+checks the target, and `TevProblem(target, g, d)` derives n and
+decides the rest. `make_problem` is that call by name. Every
+constructed problem is well-posed.
 """
 
 from __future__ import annotations
@@ -250,28 +250,35 @@ class TargetSpec(ValueObject):
 
 
 class TevProblem(ValueObject):
-    """A well-posed counting problem: target, genus, degree, markings.
+    """A well-posed counting problem: target, genus, degree, and the
+    marking count n = 1 - g + d*I/r that dimensions force.
 
-    Construction decides well-posedness once n is known: integers
-    g >= 0, d >= 1 and n (DomainError), the dimension constraint
-    d * index = r * (n + g - 1) (DomainError), n >= 0 (NegativeN), and
-    2g - 2 + n > 0 (UnstableRange). Treated as immutable.
+    The constructor is the one well-posedness decision, in integers and
+    in this order: NonFano unless the index is positive (a spec's fields
+    can be reassigned), DomainError unless g >= 0 and d >= 1 are
+    integers, NonIntegerN (spelling n as a reduced fraction), NegativeN
+    when n < 0, and UnstableRange unless 2g - 2 + n > 0. g, d and n are
+    stored as ints. Treated as immutable.
     """
 
     __slots__ = _fields = ("target", "g", "d", "n")
 
-    def __init__(self, target: TargetSpec, g: int, d: int, n: int) -> None:
+    def __init__(self, target: TargetSpec, g: int, d: int) -> None:
+        if target.index <= 0:
+            raise NonFano(f"target has anticanonical degree {target.index} <= 0")
         self.target = target
         self.g = g = _check_genus(g)
-        self.d = d
-        lhs = c1_pairing(target, d)
-        self.n = n = _integer(n, "marking count")
-        rhs = target.r * (n + g - 1)
-        if lhs != rhs:
-            raise DomainError(
-                f"dimension constraint violated: d*I = {lhs} but "
-                f"r*(n+g-1) = {rhs}"
+        self.d = d = _check_degree(d)
+        c1 = d * target.index
+        quotient, remainder = divmod(c1, target.r)
+        if remainder:
+            num = (1 - g) * target.r + c1
+            k = gcd(num, target.r)
+            raise NonIntegerN(
+                f"marking count 1 - g + d*I/r = {num // k}/{target.r // k} "
+                f"is not an integer (g={g}, d={d}, I={target.index}, r={target.r})"
             )
+        self.n = n = 1 - g + quotient
         if n < 0:
             raise NegativeN(f"marking count {n} is negative (g={g}, d={d})")
         if 2 * g - 2 + n <= 0:
@@ -283,10 +290,7 @@ class TevProblem(ValueObject):
 
 def c1_pairing(target: TargetSpec, d: int) -> int:
     """Pairing of c1 of the target with a degree-d curve class."""
-    d = _integer(d, "curve degree")
-    if d < 1:
-        raise DomainError(f"curve degree must be >= 1, got {d}")
-    return d * target.index
+    return _check_degree(d) * target.index
 
 
 def _check_genus(g: int) -> int:
@@ -294,6 +298,13 @@ def _check_genus(g: int) -> int:
     if g < 0:
         raise DomainError(f"genus must be >= 0, got {g}")
     return g
+
+
+def _check_degree(d: int) -> int:
+    d = _integer(d, "curve degree")
+    if d < 1:
+        raise DomainError(f"curve degree must be >= 1, got {d}")
+    return d
 
 
 def degree_step(target: TargetSpec) -> int:
@@ -308,26 +319,6 @@ def degree_step(target: TargetSpec) -> int:
 
 
 def make_problem(target: TargetSpec, g: int, d: int) -> TevProblem:
-    """Compute the forced marking count and build the problem instance.
-
-    Raises NonIntegerN when n is not an integer, and DomainError when
-    g or d is not an integer, g < 0 or d < 1; the `TevProblem`
-    constructor then raises NegativeN or UnstableRange. NonFano cannot
-    survive TargetSpec construction, but a spec's fields can be
-    reassigned, so it is re-checked here.
-    Everything is decided in integers, the NonIntegerN message too: it
-    spells the marking count as the reduced fraction num/den.
-    """
-    if target.index <= 0:
-        raise NonFano(f"target has anticanonical degree {target.index} <= 0")
-    g = _check_genus(g)
-    c1 = c1_pairing(target, d)
-    quotient, remainder = divmod(c1, target.r)
-    if remainder:
-        num = (1 - g) * target.r + c1
-        k = gcd(num, target.r)
-        raise NonIntegerN(
-            f"marking count 1 - g + d*I/r = {num // k}/{target.r // k} "
-            f"is not an integer (g={g}, d={d}, I={target.index}, r={target.r})"
-        )
-    return TevProblem(target=target, g=g, d=d, n=1 - g + quotient)
+    """The problem of genus g and degree d on `target`, with its forced
+    marking count; raises what the `TevProblem` constructor raises."""
+    return TevProblem(target, g, d)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import importlib
 import re
 import types
@@ -9,6 +10,7 @@ from pathlib import Path
 
 import tevdeg
 
+ROOT = Path(__file__).resolve().parents[1]
 LAYERS = ["arith", "certify", "closed_forms", "errors", "quantum", "schubert", "targets"]
 
 
@@ -34,8 +36,29 @@ def test_package_exports_each_layers_all():
 
 def test_version_matches_pyproject():
     # read as text: Python 3.10 has no tomllib
-    text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    text = (ROOT / "pyproject.toml").read_text()
     project = text.split("[project]", 1)[1].split("\n[", 1)[0]
     version = re.search(r'^version = "([^"]+)"$', project, re.MULTILINE)
     assert version is not None
     assert tevdeg.__version__ == version.group(1)
+
+
+def test_readme_library_block_runs_as_documented():
+    # each expression line of the block shows its value in its comment
+    readme = (ROOT / "README.md").read_text()
+    block = readme.split("## Library", 1)[1].split("```python\n", 1)[1]
+    block = block.split("```", 1)[0]
+    lines = block.splitlines()
+    namespace = {}
+    shown = []
+    for node in ast.parse(block).body:
+        if isinstance(node, ast.Expr):
+            code = compile(ast.Expression(node.value), "README.md", "eval")
+            value = eval(code, namespace)
+            comment = lines[node.lineno - 1].split("#", 1)[1].strip()
+            assert comment.startswith(repr(value)), (comment, value)
+            shown.append(value)
+        else:
+            module = ast.Module(body=[node], type_ignores=[])
+            exec(compile(module, "README.md", "exec"), namespace)
+    assert shown == [10368, ((2, 6), (6, 1), (3, 3)), 6, 27, 81, 8, 8, "NotEnumerative"]

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import inspect
 import pickle
 import typing
@@ -29,12 +30,15 @@ from tevdeg import (
     check_condition_ii,
     check_star2_prime0_hypersurface,
     is_prime,
+    legendre_valuation,
     make_problem,
+    padic_valuation,
     pieri_special,
     tev_p1_binomial,
     tev_p1_schubert,
     very_free_search,
 )
+from tevdeg.arith import _integer
 from tevdeg.cli import RunRecord, run_vtev
 from tevdeg.targets import degree_step
 
@@ -213,11 +217,11 @@ NON_INTEGER_CALLS = [
     (lambda: TargetSpec.projective_space(2.0), InvalidTarget),
     (lambda: TargetSpec.homogeneous(3, 2, s_bound=2.5), InvalidTarget),
     (lambda: TargetSpec.custom(5, 2, 3, 3, ci_degrees=(2, 3.0)), InvalidTarget),
-    # well-posedness: g, d and n, through both doors
+    # well-posedness: g and d, through the constructor and by name
     (lambda: make_problem(TargetSpec.projective_space(2), 2.0, 2), DomainError),
     (lambda: make_problem(TargetSpec.projective_space(2), 2, "2"), DomainError),
-    (lambda: TevProblem(TargetSpec.projective_space(2), 2, 2.0, 2), DomainError),
-    (lambda: TevProblem(TargetSpec.projective_space(2), 2, 2, 2.0), DomainError),
+    (lambda: TevProblem(TargetSpec.projective_space(2), 2, 2.0), DomainError),
+    (lambda: TevProblem(TargetSpec.projective_space(2), "2", 2), DomainError),
     (lambda: c1_pairing(TargetSpec.projective_space(2), 2.5), DomainError),
     # a factory converts before its own range check
     (lambda: TargetSpec.projective_space("2"), InvalidTarget),
@@ -250,7 +254,7 @@ NON_INTEGER_CALLS = [
         lambda: SchubertCombo(4, {(3, 0): 1}),
         lambda: SchubertCombo(4, {(1, 2): 1}),
         lambda: SchubertCombo.sigma(4, 1) + SchubertCombo.sigma(5, 1),
-        lambda: TevProblem(TargetSpec.projective_space(1), 2, 3, 4),
+        lambda: TevProblem(TargetSpec.projective_space(1), 5, 1),
         lambda: check_complete_intersection(1, 1, 1, [0]),
         lambda: check_star2_prime0_hypersurface(2, 10),
         *(call for call, _ in NON_INTEGER_CALLS),
@@ -273,24 +277,51 @@ def test_very_free_search_names_a_float_characteristic():
         very_free_search(3, 8, 5.0)
 
 
+class Index:
+    """An integer-like object that offers only `__index__`, as NumPy
+    integers do."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __index__(self):
+        return self.value
+
+
+def test_a_problem_stores_ints_for_integer_like_arguments():
+    target = TargetSpec.hypersurface(3, 7)
+    for build in (make_problem, TevProblem):
+        problem = build(target, Index(1), Index(7))
+        assert problem == make_problem(target, 1, 7)
+        assert [type(v) for v in (problem.g, problem.d, problem.n)] == [int] * 3
+        assert tevdeg.vtev(problem).value == 10368
+    assert type(make_problem(TargetSpec.projective_space(1), 0, True).d) is int
+
+
+def test_line_routes_compute_with_converted_arguments():
+    assert tev_p1_schubert(Index(80), 100) == 2**80
+    assert tev_p1_binomial(80, Index(100)) == 2**80
+    assert tev_p1_schubert(Index(3), Index(4)) == 8
+    assert tev_p1_binomial(Index(3), Index(4)) == 8
+
+
+def test_valuations_compute_with_converted_arguments():
+    assert legendre_valuation(Index(10), 2) == legendre_valuation(10, Index(2)) == 8
+    assert padic_valuation(Index(8), 2) == padic_valuation(-24, Index(2)) == 3
+
+
 def test_a_bool_passes_the_integer_check():
     assert TargetSpec.projective_space(True) == TargetSpec.projective_space(1)
     assert SchubertCombo(5, {(True, False): True}) == SchubertCombo.sigma(5, 1)
     assert tev_p1_schubert(True, 2) == tev_p1_binomial(1, 2) == 2
 
 
-def test_tev_problem_rejects_inconsistent_n():
-    target = TargetSpec.projective_space(1)
-    with pytest.raises(ValueError):
-        TevProblem(target=target, g=2, d=3, n=4)
-
-
 def test_tev_problem_rejects_what_make_problem_rejects():
-    # a negative n and a negative genus, each with the forced n
-    with pytest.raises(NegativeN):
-        TevProblem(TargetSpec.hypersurface(3, 7), 10, 7, -3)
+    # a negative forced n (-3) and a negative genus
+    with pytest.raises(NegativeN, match="marking count -3 is negative"):
+        TevProblem(TargetSpec.hypersurface(3, 7), 10, 7)
     with pytest.raises(DomainError, match="genus must be >= 0, got -1"):
-        TevProblem(TargetSpec.projective_space(1), -1, 2, 6)
+        TevProblem(TargetSpec.projective_space(1), -1, 2)
 
 
 DIRECT_TARGETS = [TargetSpec.projective_space(r) for r in range(1, 5)] + [
@@ -317,23 +348,68 @@ def test_direct_construction_with_the_forced_n_matches_make_problem():
                 numerator = (1 - g) * r + d * target.index
                 if numerator % r:
                     continue
-                n = numerator // r
                 cells += 1
-                direct = _outcome(lambda: TevProblem(target, g, d, n))
+                direct = _outcome(lambda: TevProblem(target, g, d))
                 assert direct == _outcome(lambda: make_problem(target, g, d))
                 if isinstance(direct, TevProblem):
+                    assert direct.n == numerator // r
                     assert type(tevdeg.vtev(direct).value) is int
                     kinds.add("ok")
                 else:
                     kinds.add(direct[0].__name__)
-                # any other n breaks the dimension constraint
-                if g >= 0 and d >= 1:
-                    with pytest.raises(
-                        DomainError, match="dimension constraint violated"
-                    ):
-                        TevProblem(target, g, d, n + 1)
     assert cells == 1725
     assert kinds == {"ok", "DomainError", "NegativeN", "UnstableRange"}
+
+
+def _outcome_digest(build):
+    """sha256 over `build(target, g, d)`'s outcome on every cell of
+    DIRECT_TARGETS x [-2, 12] x [-1, 30], non-integral cells included:
+    the error's class name and message, or (g, d, n) with their types."""
+    lines = []
+    for target in DIRECT_TARGETS:
+        for g in range(-2, 13):
+            for d in range(-1, 31):
+                try:
+                    problem = build(target, g, d)
+                except TevError as exc:
+                    lines.append(f"{type(exc).__name__}: {exc}")
+                else:
+                    fields = (problem.g, problem.d, problem.n)
+                    lines.append(repr([(v, type(v).__name__) for v in fields]))
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+# 3360 cells, recorded while `make_problem` decided each check before
+# passing the forced n to `TevProblem`, so both doors keep its outcomes
+OUTCOME_DIGEST = "6313e6f2eb25275d9d44d3f886729d460a665454a72a3a88bb877842c64f2b0c"
+
+
+def test_make_problem_outcomes_are_pinned():
+    assert _outcome_digest(make_problem) == OUTCOME_DIGEST
+
+
+def test_tev_problem_outcomes_match_the_pin():
+    # the constructor derives n and decides everything itself
+    assert _outcome_digest(TevProblem) == OUTCOME_DIGEST
+
+
+def test_make_problem_converts_each_argument_once(monkeypatch):
+    calls = []
+
+    def counting(value, what, error=DomainError):
+        calls.append(what)
+        return _integer(value, what, error)
+
+    monkeypatch.setattr("tevdeg.targets._integer", counting)
+    for target in DIRECT_TARGETS:
+        for g in range(0, 13):
+            for d in range(1, 31):
+                calls.clear()
+                try:
+                    make_problem(target, g, d)
+                except TevError:
+                    pass
+                assert calls == ["genus", "curve degree"], (target, g, d)
 
 
 def test_field_built_target_rejects_degree_below_one():
