@@ -10,9 +10,10 @@ Target grammar:
 
 Subcommands: vtev, tev-p1, qh-check, certify, very-free. Each run
 emits one record per computation, written to stdout or `--out` as
-soon as it is computed, so a sweep (or `qh-check --per-case`) holds
-one record at a time and an interrupted run leaves the records
-written so far in `--out`.
+soon as it is computed, in one write together with the separator
+before it, so a sweep (or `qh-check --per-case`) holds one record at
+a time and an interrupted run leaves the records written so far in
+`--out`.
 `--json` switches to newline-delimited JSON objects with every number
 serialized as a decimal string, so arbitrarily large values survive
 any JSON parser. `main` lifts Python's 4300-digit limit on int-to-str
@@ -35,12 +36,16 @@ it never pools. The pool (and multiprocessing with it) is imported
 only when a sweep uses it, so single points and serial sweeps start
 faster.
 
-Exit codes: 0 ok, 1 stdout closed early (a broken pipe, as in
-`| head`: a serial sweep or `qh-check --per-case` stops at its first
-failed write), 2 parse or usage error (an empty sweep or qh-check
-grid is one, and so are a flag not spelled in full, an `--out` path
-that cannot be opened, and mixing point flags `--g`/`--d` with grid
-flags `--sweep`/`--g-max`/`--d-max`/`--g-min`/`--d-min`/`--workers`),
+Exit codes: 0 ok, 1 output could not be written: stdout closed early
+(a broken pipe, as in `| head`, which goes unreported), or any other
+failed write or flush, such as a full disk, which prints the one line
+`tevdeg: error: cannot write output: <reason>` to stderr (either way a
+serial sweep or `qh-check --per-case` stops at its first failed
+write, and a pooled sweep shuts its pool down), 2 parse or usage
+error (an empty sweep or qh-check grid is one, and so are a flag not
+spelled in full, an `--out` path that cannot be opened, and mixing
+point flags `--g`/`--d` with grid flags
+`--sweep`/`--g-max`/`--d-max`/`--g-min`/`--d-min`/`--workers`),
 3 well-posedness error, 4 hypothesis or formula-domain violation.
 A failed record's code is the `exit_code` of its error class, defined
 once in `errors`. Sweeps exit 0 as long as the sweep itself runs;
@@ -428,10 +433,16 @@ def render_table(record: RunRecord) -> str:
     return "\n".join(lines)
 
 
+# one encoder, built at import, renders every record with json.dumps's
+# defaults. A record holds only strings, dicts and lists, so it cannot
+# contain itself: the encoder skips the cycle check that dumps's cached
+# encoder makes on each dict and list, and the call skips dumps's tests
+# of its keyword arguments.
+_encode = json.JSONEncoder(check_circular=False).encode
+
+
 def render_json(record: RunRecord) -> str:
-    # the default separators are (", ", ": ") already; naming them would
-    # build a new encoder per record instead of reusing json's cached one
-    return json.dumps(record.to_dict())
+    return _encode(record.to_dict())
 
 
 _INT = {"type": int}
@@ -553,6 +564,21 @@ def _open_output(parser: argparse.ArgumentParser, path: str | None):
         parser.error(f"cannot open --out {path}: {exc.strerror}")
 
 
+def _write_failed(stream, exc: OSError) -> int:
+    """Exit code 1 for a write or flush that failed. The stream's
+    descriptor is pointed at devnull, as in Python's SIGPIPE note, so
+    the flush when `--out` closes or the interpreter exits writes what
+    is left nowhere and cannot fail again. A closed pipe is the reader
+    leaving early (`| head`) and goes unreported; any other failure, a
+    full disk say, prints one line."""
+    with open(os.devnull, "w") as devnull:
+        os.dup2(devnull.fileno(), stream.fileno())
+    if not isinstance(exc, BrokenPipeError):
+        reason = exc.strerror or exc
+        sys.stderr.write(f"tevdeg: error: cannot write output: {reason}\n")
+    return 1
+
+
 def _main(argv) -> int:
     args, unknown = _build_parser().parse_known_args(argv)
     parser = args.parser
@@ -577,22 +603,21 @@ def _main(argv) -> int:
     separator = "\n" if args.json else "\n\n"
     written = 0
     with _open_output(parser, args.out) as stream:
+        # each record reaches the stream in one write, its separator
+        # first, as its cell finishes: a sweep holds one record at a
+        # time, and a serial one stops at its first failed write
+        for record in run():
+            text = render(record)
+            try:
+                stream.write(separator + text if written else text)
+            except OSError as exc:
+                return _write_failed(stream, exc)
+            written += 1
         try:
-            # each record is written as its cell finishes: a sweep holds
-            # one at a time, and a serial one stops at a failed write
-            for record in run():
-                if written:
-                    stream.write(separator)
-                stream.write(render(record))
-                written += 1
             stream.write("\n")
             stream.flush()  # a closed pipe raises here, not at exit
-        except BrokenPipeError:
-            # the reader left early (`| head`); as in Python's SIGPIPE
-            # note, point stdout at devnull so the final flush is silent
-            with open(os.devnull, "w") as devnull:
-                os.dup2(devnull.fileno(), sys.stdout.fileno())
-            return 1
+        except OSError as exc:
+            return _write_failed(stream, exc)
     # 0 unless a single record of a point, qh-check or very-free run
     # failed; then the `exit_code` of the error class it names
     if swept or written != 1 or record.status == "ok":

@@ -966,6 +966,13 @@ PINNED_OUTPUTS = {
                           "a924e7652def5204656102e85235407cbce6aa32e61c68dbe84c9fa4b7e35bbb"),
     "escaped error": (["vtev", "--target", 'p:"\\', "--g", "1", "--d", "2", "--json"], 1,
                       "eb4a7ff69f70f3767cd26ad9605ef8df9fbe9a5d1f8cb28a24fe4f1000113f81"),
+    # table output, recorded before each record's "\n\n" separator
+    # moved into the write of the record that follows it
+    "vtev p:2 table": (["vtev", "--target", "p:2", *_GRID[:-1]], 5589,
+                       "8030e1b0226fd35542d16f72302a430ddcd73ad186c9c955ea99016a3e3b22af"),
+    "qh-check per case table": (["qh-check", "--r", "3", "--g-max", "6", "--d-max", "30",
+                                 "--per-case"], 628,
+                                "c7aa2f9520d0696c8816d28eae7ae094b9213d9a9f51a7e48a2425ff567bf8fc"),
 }
 
 
@@ -976,6 +983,61 @@ def test_command_outputs_are_pinned(capsys, name):
     data = capsys.readouterr().out.encode()
     assert data.count(b"\n") == lines
     assert hashlib.sha256(data).hexdigest() == digest
+
+
+def _records_of_every_command():
+    """An ok and an error record of each subcommand, qh-check's
+    per-case records, and records whose text needs escaping."""
+    *per_case, summary = cli.run_qh_check(2, 2, 6, per_case=True)
+    return [
+        run_vtev("p:2", 3, 4), run_vtev("p:2", 1, 0),
+        cli.run_certify("p:1", 3, 3), cli.run_certify("p:0", 1, 1),
+        run_tev_p1(4, 5, "both"), run_tev_p1(9, 2, "both"),
+        summary, *per_case, *cli.run_qh_check(0, 2, 3),
+        cli.run_very_free(3, 8, 5), cli.run_very_free(2, 8, 5),
+        # non-ASCII and escape characters, echoed and in the message
+        run_vtev('p:\u00e9"\\', 1, 2),
+        cli.RunRecord("vtev", {"target": 'p:\u00e9"\\\n\t\u2603', "g": "1"},
+                      {"value": "\U0001d53c"}, ["x\x00y"]),
+    ]
+
+
+def test_render_json_renders_like_json_dumps():
+    records = _records_of_every_command()
+    kinds = {(r.command, r.status) for r in records}
+    assert kinds == {(command, status) for command in cli._COMMANDS
+                     for status in ("ok", "error")}
+    for record in records:
+        assert cli.render_json(record) == json.dumps(record.to_dict())
+
+
+def _env_buffered(unbuffered):
+    """`_env_with_src()` with PYTHONUNBUFFERED set to 1 or unset."""
+    env = _env_with_src()
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return env
+
+
+@pytest.mark.parametrize("name, workers", [
+    ("vtev p:2", []), ("vtev p:2 table", []), ("tev-p1 both", ["--workers", "2"]),
+])
+def test_unbuffered_output_is_byte_identical(name, workers):
+    # the benchmark runs the command line with PYTHONUNBUFFERED=1, where
+    # every write is its own system call; the bytes must not change
+    argv, lines, digest = PINNED_OUTPUTS[name]
+    outputs = []
+    for unbuffered in (True, False):
+        run = subprocess.run([sys.executable, "-m", "tevdeg", *argv, *workers],
+                             env=_env_buffered(unbuffered), capture_output=True,
+                             timeout=120)
+        assert run.returncode == 0, run.stderr
+        assert run.stderr == b""
+        outputs.append(run.stdout)
+    assert outputs[0] == outputs[1]
+    assert outputs[0].count(b"\n") == lines
+    assert hashlib.sha256(outputs[0]).hexdigest() == digest
 
 
 @pytest.mark.parametrize(
@@ -1135,6 +1197,69 @@ class _Sink:
 
     def fileno(self):
         return self.fd
+
+
+@pytest.mark.parametrize("json_flag", [["--json"], []], ids=["json", "table"])
+@pytest.mark.parametrize("command", [
+    ["vtev", "--target", "p:2", "--sweep", "--g-max", "5", "--d-max", "7"],
+    ["qh-check", "--r", "2", "--g-max", "6", "--d-max", "12", "--per-case"],
+], ids=["sweep", "qh-check"])
+def test_each_record_is_one_write(monkeypatch, command, json_flag):
+    # a record and the separator before it go out in one write, then
+    # the final newline: records + 1 writes (two per record before)
+    renders = {"render_json": 0, "render_table": 0}
+    for name in renders:
+        def counted(record, name=name, render=getattr(cli, name)):
+            renders[name] += 1
+            return render(record)
+        monkeypatch.setattr(cli, name, counted)
+    if command[0] == "qh-check":
+        records = int(cli.run_qh_check(2, 6, 12)[0].outputs["cases"]) + 1
+    else:
+        records = 6 * 7
+    sink = _Sink()
+    monkeypatch.setattr(sys, "stdout", sink)
+    assert main(command + json_flag) == 0
+    assert sink.writes == records + 1
+    used = "render_json" if json_flag else "render_table"
+    assert renders == {name: records if name == used else 0 for name in renders}
+
+
+_DEV_FULL = Path("/dev/full")
+
+
+@pytest.mark.skipif(not _DEV_FULL.exists(), reason="needs /dev/full")
+@pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+@pytest.mark.parametrize("to_out", [False, True], ids=["stdout", "out"])
+@pytest.mark.parametrize("argv", [
+    ["vtev", "--target", "p:2", "--sweep", "--g-max", "3", "--d-max", "3", "--json"],
+    ["vtev", "--target", "p:2", "--g", "1", "--d", "2"],
+    ["tev-p1", "--method", "both", "--sweep", "--g-max", "12", "--d-max", "12",
+     "--workers", "2", "--json"],
+], ids=["serial", "point", "pooled"])
+def test_a_full_device_exits_1_with_one_line(argv, to_out, unbuffered):
+    if to_out:
+        argv = [*argv, "--out", str(_DEV_FULL)]
+    with open(_DEV_FULL, "w") as full:
+        # a session of its own, so the run and its pool workers form
+        # one process group that can be checked, and killed, as a whole
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "tevdeg", *argv],
+            stdout=subprocess.DEVNULL if to_out else full,
+            stderr=subprocess.PIPE, env=_env_buffered(unbuffered),
+            start_new_session=True,
+        )
+    try:
+        _, err = proc.communicate(timeout=60)
+        assert proc.returncode == 1
+        assert err.decode() == (
+            "tevdeg: error: cannot write output: No space left on device\n"
+        )
+        assert _group_exits(proc.pid), "a process of the run outlived it"
+    finally:
+        with contextlib.suppress(ProcessLookupError):
+            os.killpg(proc.pid, signal.SIGKILL)
+        proc.wait()
 
 
 def test_a_sweep_holds_one_record_at_a_time(monkeypatch):
