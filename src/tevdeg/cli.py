@@ -8,6 +8,9 @@ Target grammar:
     gp:<r>:<I>[:<s>:<t>]                     homogeneous space with index I
     custom:<r>:<I>[:<s>:<t>[:<e1,e2,...>]]   asserted rank-1 Fano target
 
+Each field is ASCII digits with an optional leading `-`; any other
+text (`+2`, ` 2`, `1_0`, a non-ASCII digit) is a parse error.
+
 Subcommands: vtev, tev-p1, qh-check, certify, very-free. Each run
 emits one record per computation, written to stdout or `--out` as
 soon as it is computed, in one write together with the separator
@@ -101,7 +104,7 @@ def parse_target(text: str) -> TargetSpec:
         t = _int(args[3]) if len(args) >= 4 else None
         degrees = None
         if len(args) == 5:
-            degrees = tuple(_int(x) for x in args[4].split(","))
+            degrees = tuple(map(_int, args[4].split(",")))
         return TargetSpec.custom(
             r, index, s_bound=s, t_bound=t, ci_degrees=degrees
         )
@@ -109,10 +112,16 @@ def parse_target(text: str) -> TargetSpec:
 
 
 def _int(text: str) -> int:
-    try:
-        return int(text, 10)
-    except ValueError:
-        raise TargetParseError(f"expected an integer, got {text!r}") from None
+    """A field of the grammar: ASCII digits with an optional leading
+    `-`, so no sign `+`, space, underscore or non-ASCII digit."""
+    if text.isascii() and (
+        text.isdigit() or text[:1] == "-" and text[1:].isdigit()
+    ):
+        try:
+            return int(text)
+        except ValueError:  # more digits than Python's conversion limit
+            pass
+    raise TargetParseError(f"expected an integer, got {text!r}")
 
 
 class RunRecord(ValueObject):

@@ -28,6 +28,11 @@ The two routes share no code beyond the domain check (no `arith.binom`
 on the Schubert side) and are cross-checked over a grid in the test
 suite. Both reject 2d - 2 - g < 0 (DegreeUnderflow): no claim is made
 for that range, even though such triples can be well-posed.
+
+`SchubertCombo(m, terms)` and `SchubertCombo.sigma` check every
+partition they are given. The classes this module builds itself, the
+Pieri products and the Schubert route's basis class, lie in the box
+by construction and are wrapped unchecked by `SchubertCombo._trusted`.
 """
 
 from __future__ import annotations
@@ -184,7 +189,10 @@ def tev_p1_schubert(g: int, d: int) -> int:
     power = _sigma1_power(g)
     weight = 2 * d - 2 - g
     half = weight // 2
-    terms = pieri_special(SchubertCombo.sigma(m, half), weight - half).terms
+    # 0 <= w <= 2d - 2 puts sigma_(w // 2) in the box (w // 2 <= d - 1),
+    # so it skips the checks of `SchubertCombo.sigma`
+    start = SchubertCombo._trusted(m, {(half, 0): 1})
+    terms = pieri_special(start, weight - half).terms
     total = 0
     for (x, y), mult in terms.items():
         # power[box - x] is the multiplicity of sigma_(box-y, box-x)

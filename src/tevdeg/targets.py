@@ -16,6 +16,13 @@ target, g and d alone, and there is one door to it: `TargetSpec`
 checks the target, and `TevProblem(target, g, d)` derives n and
 decides the rest. `make_problem` is that call by name. Every
 constructed problem is well-posed.
+
+Each target check lives in one place. The factories `projective_space`,
+`hypersurface` and `quadric` convert and range-check their own
+arguments, then build the spec from the invariants they derived
+(index, s and t) without checking them again. `TargetSpec.__init__`
+is the door for asserted invariants: `homogeneous`, `custom` and a
+spec built field by field pass through its checks.
 """
 
 from __future__ import annotations
@@ -87,6 +94,11 @@ class TargetSpec(ValueObject):
     recorded as asserted by the caller, never derived. A non-integer
     invariant raises InvalidTarget rather than being truncated. Treated
     as immutable: nothing changes a spec after the constructor.
+
+    The constructor checks every invariant it is given. The P^r,
+    hypersurface and quadric factories check only their arguments:
+    the invariants they derive from them hold by arithmetic, so
+    `_trusted` assigns them unchecked.
     """
 
     __slots__ = _fields = (
@@ -138,19 +150,24 @@ class TargetSpec(ValueObject):
         self.ci_degrees = ci_degrees
 
     @classmethod
+    def _trusted(cls, kind: TargetKind, r: int, e: int, index: int) -> "TargetSpec":
+        """A spec from invariants a factory derived: ints with r, e and
+        index >= 1, and s = t = index. Assigns the seven slots unchecked."""
+        spec = object.__new__(cls)
+        spec.kind = kind
+        spec.r = r
+        spec.e = e
+        spec.index = spec.s_bound = spec.t_bound = index
+        spec.ci_degrees = None
+        return spec
+
+    @classmethod
     def projective_space(cls, r: int) -> "TargetSpec":
         """P^r; lines realize both minimal pairings, so s = t = r + 1."""
         r = _integer(r, "dimension r", InvalidTarget)
         if r < 1:
             raise InvalidTarget(f"projective space needs r >= 1, got {r}")
-        return cls(
-            TargetKind.PROJECTIVE_SPACE,
-            r=r,
-            e=1,
-            index=r + 1,
-            s_bound=r + 1,
-            t_bound=r + 1,
-        )
+        return cls._trusted(TargetKind.PROJECTIVE_SPACE, r, 1, r + 1)
 
     @classmethod
     def hypersurface(cls, e: int, r: int) -> "TargetSpec":
@@ -164,11 +181,11 @@ class TargetSpec(ValueObject):
         e = _integer(e, "degree e", InvalidTarget)
         if e < 1:
             raise InvalidTarget(f"hypersurface degree must be >= 1, got {e}")
-        r = _integer(r, "dimension r", InvalidTarget)
         if e == 1:
             return cls.projective_space(r)
         if e == 2:
             return cls.quadric(r)
+        r = _integer(r, "dimension r", InvalidTarget)
         if r < 1:
             raise InvalidTarget(f"hypersurface needs r >= 1, got {r}")
         index = r + 2 - e
@@ -177,9 +194,7 @@ class TargetSpec(ValueObject):
                 f"degree {e} hypersurface of dimension {r} has "
                 f"anticanonical degree {index} <= 0"
             )
-        return cls(
-            TargetKind.HYPERSURFACE, r=r, e=e, index=index, s_bound=index, t_bound=index
-        )
+        return cls._trusted(TargetKind.HYPERSURFACE, r, e, index)
 
     @classmethod
     def quadric(cls, r: int) -> "TargetSpec":
@@ -189,9 +204,7 @@ class TargetSpec(ValueObject):
             raise InvalidTarget(
                 f"quadric targets need dimension >= 3, got {r}"
             )
-        return cls(
-            TargetKind.QUADRIC, r=r, e=2, index=r, s_bound=r, t_bound=r
-        )
+        return cls._trusted(TargetKind.QUADRIC, r, 2, r)
 
     @classmethod
     def homogeneous(

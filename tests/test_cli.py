@@ -21,6 +21,7 @@ import pytest
 import tevdeg
 
 from tevdeg import (
+    InvalidTarget,
     TargetKind,
     TargetParseError,
     TargetSpec,
@@ -57,6 +58,14 @@ def test_parse_target_grammar():
     for bad in ("", "p", "p:x", "hyp:3", "unknown:1", "p:1:2", "custom:1"):
         with pytest.raises(TargetParseError):
             parse_target(bad)
+    # a field is ASCII digits with an optional leading minus, nothing else
+    for bad in ("p:1_0", "p: 2", "p:2 ", "p:+2", "p:\u0662", "p:-", "p:--2",
+                "hyp:3:\uff17", "custom:7:6:6:6:3,+2", "gp:6:4:5: 4"):
+        with pytest.raises(TargetParseError):
+            parse_target(bad)
+    assert parse_target("p:007") == parse_target("p:7")
+    with pytest.raises(InvalidTarget, match="needs r >= 1, got -2"):
+        parse_target("p:-2")
 
 
 def test_vtev_table_output(capsys):
@@ -525,6 +534,9 @@ def test_missing_point_flags_exit_2(capsys):
         (["vtev", "--target", "quadric:3", "--g", "0", "--d", "1"], 3, "UnstableRange"),
         # below r = 2e - 3, where no formula backs the genus-0 count
         (["very-free", "--e", "4", "--r", "3", "--p", "5"], 4, "HypothesisViolation"),
+        # int() would read these as P^10 and P^2
+        (["vtev", "--target", "p:1_0", "--g", "1", "--d", "2"], 2, "TargetParseError"),
+        (["certify", "--target", "p:+2", "--g", "1", "--d", "2"], 2, "TargetParseError"),
     ],
 )
 def test_exit_code_per_error_kind(capsys, argv, code, kind):

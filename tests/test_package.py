@@ -1,10 +1,12 @@
-"""The package namespace: each layer's `__all__` is its one export list."""
+"""The package namespace: each layer's `__all__` is its one export list,
+and the package imports nothing outside the standard library."""
 
 from __future__ import annotations
 
 import ast
 import importlib
 import re
+import sys
 import types
 from pathlib import Path
 
@@ -62,3 +64,21 @@ def test_readme_library_block_runs_as_documented():
             module = ast.Module(body=[node], type_ignores=[])
             exec(compile(module, "README.md", "exec"), namespace)
     assert shown == [10368, ((2, 6), (6, 1), (3, 3)), 6, 27, 81, 8, 8, "NotEnumerative"]
+
+
+def test_sources_import_only_the_standard_library():
+    # every import, also one inside a function, is relative or stdlib
+    sources = sorted((ROOT / "src" / "tevdeg").glob("*.py"))
+    assert len(sources) >= len(LAYERS) + 3  # the layers, cli, __init__, __main__
+    for path in sources:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                modules = [node.module]
+            else:
+                continue
+            for module in modules:
+                top = module.split(".", 1)[0]
+                assert top in sys.stdlib_module_names, (path.name, node.lineno, module)

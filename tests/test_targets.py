@@ -412,6 +412,76 @@ def test_make_problem_converts_each_argument_once(monkeypatch):
                 assert calls == ["genus", "curve degree"], (target, g, d)
 
 
+def test_derived_targets_convert_each_argument_once(monkeypatch):
+    calls = []
+
+    def counting(value, what, error=DomainError):
+        calls.append(what)
+        return _integer(value, what, error)
+
+    monkeypatch.setattr("tevdeg.targets._integer", counting)
+    for r in range(-1, 41):
+        builds = [
+            (TargetSpec.projective_space, (r,), ["dimension r"]),
+            (TargetSpec.quadric, (r,), ["dimension r"]),
+        ] + [
+            (TargetSpec.hypersurface, (e, r), ["degree e", "dimension r"])
+            for e in range(1, 13)
+        ]
+        for build, args, expected in builds:
+            calls.clear()
+            _outcome(lambda: build(*args))
+            assert calls == expected, (build.__name__, args)
+
+
+def _reference_target(e, r):
+    """The degree-e hypersurface of dimension r built field by field
+    through the validating constructor, or the error class a factory
+    raises for it: the reference the factories' one-step build is
+    checked against."""
+    if e < 1:
+        return InvalidTarget
+    if e == 1:
+        kind, index, least_r = TargetKind.PROJECTIVE_SPACE, r + 1, 1
+    elif e == 2:
+        kind, index, least_r = TargetKind.QUADRIC, r, 3
+    else:
+        kind, index, least_r = TargetKind.HYPERSURFACE, r + 2 - e, 1
+    if r < least_r:
+        return InvalidTarget
+    if index <= 0:
+        return NonFano
+    return TargetSpec(kind, r=r, e=e, index=index, s_bound=index, t_bound=index)
+
+
+def _integer_likes(value):
+    """`value` as an int, as an `__index__`-only object and, for 0 and
+    1, as a bool."""
+    return [value, Index(value)] + ([bool(value)] if value in (0, 1) else [])
+
+
+def test_derived_targets_equal_the_validated_construction():
+    # degrees 1 and 2 normalize to P^r and the quadric, which have
+    # one-argument factories of their own
+    one_argument = {1: TargetSpec.projective_space, 2: TargetSpec.quadric}
+    for e in range(-1, 13):
+        for r in range(-1, 41):
+            expected = _reference_target(e, r)
+            for r_arg in _integer_likes(r):
+                got = [_outcome(lambda: TargetSpec.hypersurface(e_arg, r_arg))
+                       for e_arg in _integer_likes(e)]
+                if e in one_argument:
+                    got.append(_outcome(lambda: one_argument[e](r_arg)))
+                for spec in got:
+                    if isinstance(expected, type):
+                        assert type(spec) is tuple and spec[0] is expected, (e, r, spec)
+                        continue
+                    assert spec == expected, (e, r, spec)
+                    fields = (spec.r, spec.e, spec.index, spec.s_bound, spec.t_bound)
+                    assert [type(v) for v in fields] == [int] * 5, (e, r)
+                    assert spec.ci_degrees is None
+
+
 def test_field_built_target_rejects_degree_below_one():
     with pytest.raises(InvalidTarget) as exc:
         TargetSpec(TargetKind.CUSTOM, r=3, e=0, index=2)
