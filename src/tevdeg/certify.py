@@ -375,6 +375,13 @@ def very_free_search(e: int, r: int, p: int) -> VeryFreeReport:
     The conclusion is True when r > (e+2)(e-2), p > e, and the
     valuation is 0; a True conclusion certifies a very free rational
     curve on a general degree-e hypersurface in characteristic p.
+
+    The valuation only reports: it is 0 exactly when p > e, which is
+    already a condition. At the d chosen here, d - n = d(e-2)/r - 1 is
+    a nonnegative integer, since d is a multiple of r/gcd(e-2, r). So
+    for p <= e the count has a factor p: from (e-1)! when p < e (and
+    n >= 3), and from e^((d-n)e + 1) when p = e. For p > e neither
+    (e-1)! nor e has one.
     """
     e, r, p = _integer(e, "e"), _integer(r, "r"), _integer(p, "p")
     if e < 3:

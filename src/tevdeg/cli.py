@@ -9,7 +9,9 @@ Target grammar:
     custom:<r>:<I>[:<s>:<t>[:<e1,e2,...>]]   asserted rank-1 Fano target
 
 Each field is ASCII digits with an optional leading `-`; any other
-text (`+2`, ` 2`, `1_0`, a non-ASCII digit) is a parse error.
+text (`+2`, ` 2`, `1_0`, a non-ASCII digit) is a parse error. An
+integer flag (`--g`, `--workers`, `--r`, ...) follows the same rule,
+and a bad value is a usage error that names the flag.
 
 Subcommands: vtev, tev-p1, qh-check, certify, very-free. Each run
 emits one record per computation, written to stdout or `--out` as
@@ -29,15 +31,13 @@ sweep may fan its cells out over a pool of up to N processes (never
 more than it has cells or the machine has CPUs) without changing the
 output. A Schubert sweep (`tev-p1 --method schubert|both`) always
 uses the pool. A closed-form sweep (`vtev`, `certify`, `tev-p1
---method binomial`) runs in this process unless a bound on the size
-of its largest value reaches `POOL_MIN_SIZE`: below that a cell costs
-less than the pool's start-up. The bound is g_max * r.bit_length()
-for P^r and the line (r = 1), whose values do not grow with d, and
-max(g_max, d_max) * r * e for quadrics and hypersurfaces. A sweep of
-a target with no closed form (`gp:`, `custom:`) computes no value, so
-it never pools. The pool (and multiprocessing with it) is imported
-only when a sweep uses it, so single points and serial sweeps start
-faster.
+--method binomial`) pools once the closed-form bound on its values'
+bit length, `closed_forms.value_bits` (P^1's for the line), reaches
+`POOL_MIN_SIZE`: below that a cell costs less than the pool's
+start-up. A sweep of a target with no closed form (`gp:`, `custom:`)
+computes no value, so it never pools. The pool (and multiprocessing
+with it) is imported only when a sweep uses it, so single points and
+serial sweeps start faster.
 
 Exit codes: 0 ok, 1 output could not be written: stdout closed early
 (a broken pipe, as in `| head`, which goes unreported), or any other
@@ -74,7 +74,7 @@ from .certify import (
     certify_target,
     very_free_search,
 )
-from .closed_forms import _DISPATCH as _CLOSED_FORMS, vtev
+from .closed_forms import value_bits, vtev
 from .errors import TargetParseError, TevError, WellPosednessError
 from .quantum import PowerTable, tqft_vtev
 from .schubert import tev_p1_binomial, tev_p1_schubert
@@ -111,9 +111,10 @@ def parse_target(text: str) -> TargetSpec:
     raise TargetParseError(f"unrecognized target description {text!r}")
 
 
-def _int(text: str) -> int:
-    """A field of the grammar: ASCII digits with an optional leading
-    `-`, so no sign `+`, space, underscore or non-ASCII digit."""
+def _int(text: str, error: type = TargetParseError) -> int:
+    """A field of the grammar, or an integer flag's value: ASCII digits
+    with an optional leading `-`, so no sign `+`, space, underscore or
+    non-ASCII digit. Anything else raises `error`."""
     if text.isascii() and (
         text.isdigit() or text[:1] == "-" and text[1:].isdigit()
     ):
@@ -121,7 +122,7 @@ def _int(text: str) -> int:
             return int(text)
         except ValueError:  # more digits than Python's conversion limit
             pass
-    raise TargetParseError(f"expected an integer, got {text!r}")
+    raise error(f"expected an integer, got {text!r}")
 
 
 class RunRecord(ValueObject):
@@ -157,6 +158,11 @@ class RunRecord(ValueObject):
     def to_dict(self) -> dict:
         """The fields, in declaration order."""
         return dict(vars(self))
+
+
+CITE_LINE_BINOMIAL = "line count: binomial closed form"
+CITE_LINE_SCHUBERT = "line count: Schubert integral on Gr(2, d+1)"
+CITE_QH_CHECK = "quantum ring evaluation vs closed form"
 
 
 def _fail(record: RunRecord, exc: TevError) -> RunRecord:
@@ -203,10 +209,10 @@ def run_tev_p1(g: int, d: int, method: str) -> RunRecord:
     try:
         if method == "binomial":
             record.outputs = {"value": str(tev_p1_binomial(g, d))}
-            record.citations = ["line count: binomial closed form"]
+            record.citations = [CITE_LINE_BINOMIAL]
         elif method == "schubert":
             record.outputs = {"value": str(tev_p1_schubert(g, d))}
-            record.citations = ["line count: Schubert integral on Gr(2, d+1)"]
+            record.citations = [CITE_LINE_SCHUBERT]
         elif method == "both":
             binomial = tev_p1_binomial(g, d)
             schubert = tev_p1_schubert(g, d)
@@ -215,10 +221,7 @@ def run_tev_p1(g: int, d: int, method: str) -> RunRecord:
                 "schubert": str(schubert),
                 "agree": _bool(binomial == schubert),
             }
-            record.citations = [
-                "line count: binomial closed form",
-                "line count: Schubert integral on Gr(2, d+1)",
-            ]
+            record.citations = [CITE_LINE_BINOMIAL, CITE_LINE_SCHUBERT]
         else:
             raise TargetParseError(f"unknown method {method!r}")
     except TevError as exc:
@@ -276,10 +279,10 @@ def _qh_check(r: int, g_max: int, d_max: int, per_case: bool) -> Iterator[RunRec
                         "closed_form": str(closed_value),
                         "agree": _bool(agree),
                     },
-                    ["quantum ring evaluation vs closed form"],
+                    [CITE_QH_CHECK],
                 )
     summary.outputs = {"cases": str(cases), "mismatches": str(mismatches)}
-    summary.citations = ["quantum ring evaluation vs closed form"]
+    summary.citations = [CITE_QH_CHECK]
     yield summary
 
 
@@ -354,26 +357,10 @@ def _run_cell(command: str, option: str, cell: tuple[int, int]) -> RunRecord:
 # A closed-form cell (vtev, certify, tev-p1 --method binomial) takes
 # about 10 us until its value nears 10^4 bits, far less than starting,
 # feeding and shutting down a process pool. So such a sweep pools only
-# when `_size_proxy` of its grid reaches this many bits. On 2 vCPUs a
+# when `value_bits` of its grid reaches this many bits. On 2 vCPUs a
 # 40 x 60 vtev p:2 grid of well-posed cells breaks even near g = 4000
-# (proxy 8000, values of about 6300 bits).
+# (bound 8000, values of about 6300 bits).
 POOL_MIN_SIZE = 8192
-
-
-def _size_proxy(r: int, e: int, g_max: int, d_max: int) -> int:
-    """A bound on the bit length of a closed-form sweep's values for a
-    target of dimension r and degree e (r = e = 1 for the line).
-
-    For e = 1 (P^r and the line) it is g_max * r.bit_length(): the
-    value (r+1)^g, or at most 2^g on the line, does not grow with d,
-    and log2(r+1) <= r.bit_length(). For quadrics and hypersurfaces it
-    is max(g_max, d_max) * r * e. It is known before any cell runs, and
-    every closed-form value with g <= g_max and d <= d_max has at most
-    this many bits plus one.
-    """
-    if e == 1:
-        return g_max * r.bit_length()
-    return max(g_max, d_max) * r * e
 
 
 def _pool_pays(args, g_max: int, d_max: int) -> bool:
@@ -382,21 +369,17 @@ def _pool_pays(args, g_max: int, d_max: int) -> bool:
     The answer reads only the command, the target and the window, never
     a clock, so a sweep makes the same choice on every run.
     """
-    if args.command == "tev-p1":
-        if args.method != "binomial":
-            return True  # Pieri products: costly, uneven cells
-        r = e = 1
-    else:
-        try:
-            target = parse_target(args.target)
-        except TevError:
-            return False  # every cell is the same cheap error record
-        if target.kind not in _CLOSED_FORMS:
-            # no value to compute: a NoKnownFormula record or a
-            # certificate of a few comparisons per cell
-            return False
-        r, e = target.r, target.e
-    return _size_proxy(r, e, g_max, d_max) >= POOL_MIN_SIZE
+    if args.command == "tev-p1" and args.method != "binomial":
+        return True  # Pieri products: costly, uneven cells
+    try:
+        # P^1's bound covers the line's values, at most 2^g
+        target = parse_target("p:1" if args.command == "tev-p1" else args.target)
+    except TevError:
+        return False  # every cell is the same cheap error record
+    bits = value_bits(target, g_max, d_max)
+    # None: no value to compute, so a cell is a NoKnownFormula record
+    # or a certificate of a few comparisons
+    return bits is not None and bits >= POOL_MIN_SIZE
 
 
 def _sweep(cell_fn, args, window) -> Iterator[RunRecord]:
@@ -454,8 +437,10 @@ def render_json(record: RunRecord) -> str:
     return _encode(record.to_dict())
 
 
-_INT = {"type": int}
-_REQUIRED_INT = {"type": int, "required": True}
+# an integer flag follows the grammar's rule; argparse turns the
+# ArgumentTypeError into a usage error that names the flag
+_INT = {"type": partial(_int, error=argparse.ArgumentTypeError)}
+_REQUIRED_INT = {**_INT, "required": True}
 _TARGET = ("--target", {"required": True})
 
 # the flags of every subcommand that runs (g, d) cells
@@ -465,17 +450,16 @@ _CELL_FLAGS = (
     ("--sweep", {"action": "store_true", "help": "iterate a (g, d) grid"}),
     # --g-min, --d-min and --workers default to None so that an
     # explicit value without --sweep can be told apart and rejected
-    ("--g-min", {"type": int, "help": "first genus of the sweep (default 0)"}),
+    ("--g-min", {**_INT, "help": "first genus of the sweep (default 0)"}),
     ("--g-max", _INT),
-    ("--d-min", {"type": int, "help": "first degree of the sweep (default 1)"}),
+    ("--d-min", {**_INT, "help": "first degree of the sweep (default 1)"}),
     ("--d-max", _INT),
-    ("--workers", {"type": int, "help": (
+    ("--workers", {**_INT, "help": (
         "most processes a sweep may use (>= 1, capped at the cell "
         "count and the CPU count, default 1); Schubert sweeps use them, "
-        "closed-form sweeps only once g_max * r.bit_length() (P^r and "
-        "the line) or max(g_max, d_max) * r * e (quadrics and "
-        f"hypersurfaces) reaches {POOL_MIN_SIZE}, and gp: and custom: "
-        "sweeps never; output is unchanged"
+        "closed-form sweeps only once their bound in "
+        f"closed_forms.value_bits reaches {POOL_MIN_SIZE}, and gp: and "
+        "custom: sweeps never; output is unchanged"
     )}),
 )
 _OUTPUT_FLAGS = (

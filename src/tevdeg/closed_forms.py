@@ -20,17 +20,22 @@ so each evaluator sees only its own kind. They still check the
 hypotheses of their formula (e >= 3 and r >= 2e - 3 for
 hypersurfaces, r >= 3 for quadrics), because a `TargetSpec` built
 field by field can carry any e and r.
+
+Each kind's row in `_DISPATCH` also holds a bound on the bit length
+of its formula's values over a grid, known before any value is
+computed; `value_bits` reads it, and it returns None exactly for the
+kinds `vtev` has no formula for.
 """
 
 from __future__ import annotations
 
 from enum import Enum
 
-from .arith import factorial
+from .arith import _integer, factorial
 from .errors import HypothesisViolation, NegativeExponent, NoKnownFormula
-from .targets import TargetKind, TevProblem, ValueObject
+from .targets import TargetKind, TargetSpec, TevProblem, ValueObject
 
-__all__ = ["FormulaKind", "VTevResult", "vtev"]
+__all__ = ["FormulaKind", "VTevResult", "value_bits", "vtev"]
 
 
 class FormulaKind(Enum):
@@ -116,11 +121,35 @@ def _quadric(problem: TevProblem) -> tuple[tuple[int, int], ...]:
     return ((numerator // 2, 1),)
 
 
+def _projective_bits(target: TargetSpec, g_max: int, d_max: int) -> int:
+    """The bound for P^r, which also bounds the line's count (at most
+    2^g): (r + 1)^g does not grow with d, and log2(r + 1) is at most
+    r.bit_length()."""
+    return g_max * target.r.bit_length()
+
+
+def _degree_bits(target: TargetSpec, g_max: int, d_max: int) -> int:
+    """The bound for quadrics (e = 2) and hypersurfaces, whose values
+    grow with d as well as g; it is about twice their size."""
+    return max(g_max, d_max) * target.r * target.e
+
+
+# kind -> (formula, its evaluator, its bound on the values' bit length)
 _DISPATCH = {
-    TargetKind.PROJECTIVE_SPACE: (FormulaKind.PROJECTIVE_SPACE, _projective),
-    TargetKind.HYPERSURFACE: (FormulaKind.HYPERSURFACE, _hypersurface),
-    TargetKind.QUADRIC: (FormulaKind.QUADRIC, _quadric),
+    TargetKind.PROJECTIVE_SPACE: (FormulaKind.PROJECTIVE_SPACE, _projective, _projective_bits),
+    TargetKind.HYPERSURFACE: (FormulaKind.HYPERSURFACE, _hypersurface, _degree_bits),
+    TargetKind.QUADRIC: (FormulaKind.QUADRIC, _quadric, _degree_bits),
 }
+
+
+def value_bits(target: TargetSpec, g_max: int, d_max: int) -> int | None:
+    """A bound on the bit length of the closed-form values of `target`
+    over the grid g <= g_max, d <= d_max, or None if its kind has no
+    closed form. Every such value has at most this many bits plus one,
+    and the bound is known before any value is computed."""
+    g_max, d_max = _integer(g_max, "g_max"), _integer(d_max, "d_max")
+    entry = _DISPATCH.get(target.kind)
+    return None if entry is None else entry[2](target, g_max, d_max)
 
 
 def vtev(problem: TevProblem) -> VTevResult:
@@ -135,7 +164,7 @@ def vtev(problem: TevProblem) -> VTevResult:
         raise NoKnownFormula(
             f"no closed form for {problem.target.describe()}"
         )
-    formula, evaluator = entry
+    formula, evaluator, _bits = entry
     factors = evaluator(problem)
     value = 1
     for base, exp in factors:

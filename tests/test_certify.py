@@ -225,6 +225,18 @@ def test_very_free_small_characteristic_fails():
     assert report.conclusion is False
 
 
+def test_very_free_valuation_only_reports():
+    # the valuation is 0 exactly when p > e, which is already one of
+    # the two conditions, so it never decides the conclusion
+    primes = [p for p in range(2, 60) if all(p % q for q in range(2, p))]
+    for e in range(3, 12):
+        for r in range(2 * e - 3, 2 * e + 40):
+            for p in primes:
+                report = very_free_search(e, r, p)
+                assert (report.vtev_valuation == 0) == (p > e), (e, r, p)
+                assert report.conclusion == (r > (e + 2) * (e - 2) and p > e), (e, r, p)
+
+
 def test_very_free_conclusion_stable_across_large_primes():
     for p in (5, 7, 11, 101):
         assert very_free_search(3, 8, p).conclusion is True

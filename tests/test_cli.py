@@ -68,6 +68,45 @@ def test_parse_target_grammar():
         parse_target("p:-2")
 
 
+# a valid command line for each integer flag, whose value the test
+# replaces
+INT_FLAG_ARGV = {
+    "vtev": ["vtev", "--target", "p:2", "--g", "1", "--d", "3"],
+    "sweep": ["vtev", "--target", "p:2", "--sweep", "--g-min", "0", "--g-max", "1",
+              "--d-min", "1", "--d-max", "3", "--workers", "1"],
+    "qh-check": ["qh-check", "--r", "2", "--g-max", "1", "--d-max", "3"],
+    "very-free": ["very-free", "--e", "3", "--r", "7", "--p", "5"],
+}
+INT_FLAGS = [
+    pytest.param(argv, flag, id=f"{name}{flag}")
+    for name, argv in INT_FLAG_ARGV.items()
+    for flag in argv
+    if flag.startswith("--") and flag not in ("--target", "--sweep")
+]
+
+
+@pytest.mark.parametrize("argv, flag", INT_FLAGS)
+@pytest.mark.parametrize("text", ["1_0", " 2", "2 ", "+2", "\u0666", "\uff17", "", "x"])
+def test_integer_flags_follow_the_grammar_rule(capsys, argv, flag, text):
+    # the same rule as a grammar field; int() would take all but the
+    # last two, and a bad value is a usage error naming the flag
+    argv = list(argv)
+    argv[argv.index(flag) + 1] = text
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--json"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"error: argument {flag}: expected an integer, got {text!r}" in err
+
+
+def test_integer_flags_take_leading_zeros(capsys):
+    # as a grammar field does (`p:007` is `p:7`); a leading minus
+    # reaches its DomainError record, as test_exit_code_per_error_kind checks
+    code, padded = _run(capsys, ["vtev", "--target", "p:2", "--g", "003", "--d", "06", "--json"])
+    assert code == 0
+    assert padded == _run(capsys, ["vtev", "--target", "p:2", "--g", "3", "--d", "6", "--json"])[1]
+
+
 def test_vtev_table_output(capsys):
     code, out = _run(capsys, ["vtev", "--target", "hyp:3:7", "--g", "1", "--d", "7"])
     assert code == 0
@@ -405,7 +444,7 @@ def test_sweep_workers_capped_at_cpu_count(capsys, monkeypatch, pool_sizes):
     assert pooled == serial
 
 
-# On P^2 the pool rule's proxy g_max * r.bit_length() is 2 * g_max, so
+# On P^2 the pool rule's bound g_max * r.bit_length() is 2 * g_max, so
 # these two genera sit on either side of cli.POOL_MIN_SIZE.
 _EDGE_G = cli.POOL_MIN_SIZE // 2
 
@@ -416,7 +455,7 @@ def _p2_edge_sweep(g):
             "--g-max", str(g), "--d-min", str(d), "--d-max", str(d + 3)]
 
 
-# The cubic threefold's values outgrow max(g, d) * r: its proxy is
+# The cubic threefold's values outgrow max(g, d) * r: its bound is
 # max(g, d) * 3 * 3, which reaches POOL_MIN_SIZE at this degree, the
 # first there with an integral marking count.
 _CUBIC_STEP = degree_step(TargetSpec.hypersurface(3, 3))
@@ -455,8 +494,8 @@ def test_workers_pool_only_sweeps_that_pay(capsys, pool_sizes, argv, pooled):
     assert out == serial
 
 
-def test_size_proxy_bounds_every_closed_form_value():
-    # the pool rule relies on this: a grid with a small proxy holds
+def test_value_bits_bounds_every_closed_form_value():
+    # the pool rule relies on this: a grid with a small bound holds
     # only small, cheap values
     targets = (
         [TargetSpec.projective_space(r) for r in range(1, 9)]
@@ -471,12 +510,72 @@ def test_size_proxy_bounds_every_closed_form_value():
                     value = closed_forms.vtev(make_problem(target, g, d)).value
                 except TevError:
                     continue
-                proxy = cli._size_proxy(target.r, target.e, g, d)
-                assert value.bit_length() <= proxy + 1, (target, g, d)
+                bound = closed_forms.value_bits(target, g, d)
+                assert value.bit_length() <= bound + 1, (target, g, d)
+    line = TargetSpec.projective_space(1)  # the pool rule's bound for tev-p1
     for g in range(0, 41):
         for d in range((g + 3) // 2, 61):  # the least d with 2d - 2 - g >= 0
-            proxy = cli._size_proxy(1, 1, g, d)
-            assert tev_p1_binomial(g, d).bit_length() <= proxy + 1, (g, d)
+            bound = closed_forms.value_bits(line, g, d)
+            assert tev_p1_binomial(g, d).bit_length() <= bound + 1, (g, d)
+
+
+def _parent_pool_rule(args, g_max, d_max):
+    """The pool rule as the CLI spelled it before the bounds moved into
+    closed_forms: a per-command and per-kind formula, kept here as the
+    reference the decisions must still equal."""
+    if args.command == "tev-p1":
+        if args.method != "binomial":
+            return True
+        r = e = 1
+    else:
+        try:
+            target = parse_target(args.target)
+        except TevError:
+            return False
+        if target.kind not in (TargetKind.PROJECTIVE_SPACE,
+                               TargetKind.HYPERSURFACE, TargetKind.QUADRIC):
+            return False
+        r, e = target.r, target.e
+    size = g_max * r.bit_length() if e == 1 else max(g_max, d_max) * r * e
+    return size >= cli.POOL_MIN_SIZE
+
+
+CLOSED_FORM_TARGETS = (
+    [f"p:{r}" for r in range(1, 9)]
+    + [f"quadric:{r}" for r in range(3, 9)]
+    + [f"hyp:{e}:{r}" for e in range(3, 8) for r in range(2 * e - 3, 2 * e + 3)]
+)
+NO_VALUE_TARGETS = ["gp:40:7", "gp:6:4:5:4", "custom:100:7:3:3", "custom:7:6:6:6:3,2", "nope:1"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [[command, "--target", target]
+     for command in ("vtev", "certify")
+     for target in CLOSED_FORM_TARGETS + NO_VALUE_TARGETS]
+    + [["tev-p1", "--method", "binomial"]],
+)
+def test_pool_decisions_match_the_per_kind_formulas(argv):
+    args = cli._build_parser().parse_args(argv)
+    r = e = 1  # the line's, and an unparsable target's
+    if args.command != "tev-p1":
+        with contextlib.suppress(TevError):
+            target = parse_target(args.target)
+            r, e = target.r, target.e
+    # each axis on both sides of either formula's threshold, and far
+    # from it
+    edges = {0, 1, 7}
+    for per_step in (r.bit_length(), r * e):
+        least = -(-cli.POOL_MIN_SIZE // per_step)
+        edges |= {least - 1, least, least + 1, 4 * least}
+    decisions = set()
+    for g_max in sorted(edges):
+        for d_max in sorted(edges):
+            pays = cli._pool_pays(args, g_max, d_max)
+            assert pays == _parent_pool_rule(args, g_max, d_max), (argv, g_max, d_max)
+            decisions.add(pays)
+    has_value = args.command == "tev-p1" or args.target in CLOSED_FORM_TARGETS
+    assert decisions == ({False, True} if has_value else {False})
 
 
 def test_out_writes_file(tmp_path, capsys):
@@ -719,7 +818,10 @@ def test_sweeps_without_a_closed_form_never_pool():
     for sweep in NO_CLOSED_FORM_SWEEPS:
         args = cli._build_parser().parse_args(sweep)
         target = parse_target(args.target)
-        size = cli._size_proxy(target.r, target.e, args.g_max, args.d_max)
+        assert closed_forms.value_bits(target, args.g_max, args.d_max) is None
+        # a sweep of P^r over the same window would pool
+        as_projective = TargetSpec.projective_space(target.r)
+        size = closed_forms.value_bits(as_projective, args.g_max, args.d_max)
         assert size >= cli.POOL_MIN_SIZE
     assert _fresh_interpreter(_POOL_PROBE % NO_CLOSED_FORM_SWEEPS) == [
         "serial", "True", "serial", "True",
@@ -734,7 +836,8 @@ P50_SWEEP = ["vtev", "--target", "p:50", "--sweep", "--g-max", "39",
 
 def test_projective_sweeps_at_large_degree_never_pool():
     assert max(39, 1059) * 50 >= cli.POOL_MIN_SIZE
-    assert cli._size_proxy(50, 1, 39, 1059) == 39 * 6 < cli.POOL_MIN_SIZE
+    p50 = TargetSpec.projective_space(50)
+    assert closed_forms.value_bits(p50, 39, 1059) == 39 * 6 < cli.POOL_MIN_SIZE
     assert _fresh_interpreter(_POOL_PROBE % [P50_SWEEP]) == ["serial", "True"]
 
 

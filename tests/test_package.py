@@ -66,6 +66,20 @@ def test_readme_library_block_runs_as_documented():
     assert shown == [10368, ((2, 6), (6, 1), (3, 3)), 6, 27, 81, 8, 8, "NotEnumerative"]
 
 
+def test_sources_import_no_private_name_of_another_layer():
+    # a layer's private names stay its own; `arith._integer` is the one
+    # integer check every public door shares
+    allowed = {("arith", "_integer")}
+    for path in sorted((ROOT / "src" / "tevdeg").glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level > 0:
+                for alias in node.names:
+                    name = alias.name
+                    if name.startswith("_") and (node.module, name) not in allowed:
+                        raise AssertionError((path.name, node.lineno, node.module, name))
+
+
 def test_sources_import_only_the_standard_library():
     # every import, also one inside a function, is relative or stdlib
     sources = sorted((ROOT / "src" / "tevdeg").glob("*.py"))

@@ -36,6 +36,7 @@ from tevdeg import (
     pieri_special,
     tev_p1_binomial,
     tev_p1_schubert,
+    value_bits,
     very_free_search,
 )
 from tevdeg.arith import _integer
@@ -238,6 +239,9 @@ NON_INTEGER_CALLS = [
     (lambda: is_prime(5.0), DomainError),
     (lambda: is_prime("7"), DomainError),
     (lambda: very_free_search("3", 8, 5), DomainError),
+    # the closed forms' bound on a grid's values
+    (lambda: value_bits(TargetSpec.projective_space(2), 4.0, 6), DomainError),
+    (lambda: value_bits(TargetSpec.quadric(5), 4, "6"), DomainError),
 ]
 
 
