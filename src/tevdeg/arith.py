@@ -44,8 +44,13 @@ def binom(n: int, k: int) -> int:
 
     The vanishing convention makes truncated binomial sums collapse
     cleanly; the enumerativity threshold identity for degrees of the
-    line (see `schubert.tev_p1_binomial`) relies on it.
+    line (see `schubert.tev_p1_binomial`) relies on it. n and k are
+    taken through `__index__`; a float or a string raises DomainError.
     """
+    try:
+        n, k = operator.index(n), operator.index(k)
+    except TypeError:
+        n, k = _integer(n, "n"), _integer(k, "k")  # raises DomainError, naming it
     if n < 0:
         raise DomainError(f"binom requires n >= 0, got n={n}")
     if k < 0 or k > n:
@@ -54,7 +59,8 @@ def binom(n: int, k: int) -> int:
 
 
 def factorial(m: int) -> int:
-    """m! for m >= 0."""
+    """m! for an integer m >= 0."""
+    m = _integer(m, "m")
     if m < 0:
         raise DomainError(f"factorial requires m >= 0, got {m}")
     return math.factorial(m)

@@ -16,10 +16,11 @@ hint re-multiplies to its value by construction and downstream
 valuation work never has to factor the (possibly enormous) integer.
 
 `vtev` is the only entry: it picks the formula by the target's kind,
-so each evaluator sees only its own kind. They still check the
-hypotheses of their formula (e >= 3 and r >= 2e - 3 for
-hypersurfaces, r >= 3 for quadrics), because a `TargetSpec` built
-field by field can carry any e and r.
+so each evaluator sees only its own kind. A spec of these kinds comes
+only from its `TargetSpec` factory, so its e, r and index fit the
+kind: a quadric has r >= 3, and a hypersurface has e >= 3 and index
+r + 2 - e. The hypersurface evaluator still checks r >= 2e - 3, the
+one hypothesis of its formula that a factory-built spec can miss.
 
 Each kind's row in `_DISPATCH` also holds a bound on the bit length
 of its formula's values over a grid, known before any value is
@@ -32,7 +33,7 @@ from __future__ import annotations
 from enum import Enum
 
 from .arith import _integer, factorial
-from .errors import HypothesisViolation, NegativeExponent, NoKnownFormula
+from .errors import HypothesisViolation, NoKnownFormula
 from .targets import TargetKind, TargetSpec, TevProblem, ValueObject
 
 __all__ = ["FormulaKind", "VTevResult", "value_bits", "vtev"]
@@ -73,12 +74,10 @@ def _projective(problem: TevProblem) -> tuple[tuple[int, int], ...]:
 
 
 def check_hypersurface_range(e: int, r: int) -> None:
-    """Raise HypothesisViolation unless e >= 3 and r >= 2e - 3, the
-    range where the hypersurface formula holds. `very_free_search`
+    """Raise HypothesisViolation unless r >= 2e - 3, the range where the
+    formula for a degree-e >= 3 hypersurface holds. `very_free_search`
     shares this guard, so it reports no count the formula does not
     back."""
-    if e < 3:
-        raise HypothesisViolation(f"hypersurface formula needs e >= 3, got {e}")
     if r < 2 * e - 3:
         raise HypothesisViolation(
             f"hypersurface formula needs r >= 2e - 3 = {2 * e - 3}, got r={r}"
@@ -89,19 +88,14 @@ def _hypersurface(problem: TevProblem) -> tuple[tuple[int, int], ...]:
     """Factors for a degree-e hypersurface, e >= 3 and r >= 2e - 3:
     ((e-1)!)^n * (r+2-e)^g * e^((d-n)e - g + 1).
 
-    Only a field-built `TargetSpec` reaches the NegativeExponent guard:
-    for `TargetSpec.hypersurface`, d is a multiple of r/gcd(e-2, r), so
-    the last exponent (e-1)(g-1) + d*e*(e-2)/r is at least 1.
+    The last exponent is at least 1: the index is r + 2 - e, so
+    (d-n)e - g + 1 = (e-1)(g-1) + e*k with k = d(e-2)/r, a positive
+    integer because n is one, and that is at least e - (e-1).
     """
     e, r = problem.target.e, problem.target.r
     check_hypersurface_range(e, r)
     g, d, n = problem.g, problem.d, problem.n
-    exponent = (d - n) * e - g + 1
-    if exponent < 0:
-        raise NegativeExponent(
-            f"exponent (d-n)e - g + 1 = {exponent} is negative"
-        )
-    return ((factorial(e - 1), n), (r + 2 - e, g), (e, exponent))
+    return ((factorial(e - 1), n), (r + 2 - e, g), (e, (d - n) * e - g + 1))
 
 
 def _quadric(problem: TevProblem) -> tuple[tuple[int, int], ...]:
@@ -111,8 +105,6 @@ def _quadric(problem: TevProblem) -> tuple[tuple[int, int], ...]:
     for even r; the numerator is always even, so the division is exact.
     """
     r, g, d = problem.target.r, problem.g, problem.d
-    if r < 3:
-        raise HypothesisViolation(f"quadric formula needs r >= 3, got {r}")
     delta = 1 if r % 2 else 2
     sign = -1 if d % 2 else 1
     numerator = (2 * r) ** g + sign * (2 * delta) ** g

@@ -18,7 +18,6 @@ __all__ = [
     "NegativeN",
     "UnstableRange",
     "HypothesisViolation",
-    "NegativeExponent",
     "NoKnownFormula",
     "MismatchedRank",
     "SpecialClassOutOfBox",
@@ -75,10 +74,6 @@ class UnstableRange(WellPosednessError):
 
 class HypothesisViolation(TevError):
     """An explicit hypothesis of the requested computation fails."""
-
-
-class NegativeExponent(TevError):
-    """The hypersurface product formula would need a negative exponent."""
 
 
 class NoKnownFormula(TevError):

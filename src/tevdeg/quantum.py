@@ -26,14 +26,6 @@ basis-times-dual-basis products, with no extra scaling) is pinned by
 the rank-1 checks in the test suite, where the genus-g counts on the
 line must come out 2^g.
 
-Beauville's ring for a degree-e hypersurface (ROADMAP item 2),
-Z[q][h]/(h^(r+1) - e^e * q * h^(e-1)), can reuse these keys without
-being isomorphic to Z[h]: when the h-exponents of two monomials,
-na mod (r+1) and nb mod (r+1), sum past r, the product
-h^(r+1+j) -> e^e * q * h^(e-1+j) lands on key na + nb + e - 1 with
-its coefficient times e^e, and folds again while its h-exponent still
-exceeds r. For P^r, e = 1: the fold adds 0 and multiplies by 1.
-
 `handle_element` is deliberately computed with `q_mul` rather than
 written down in closed form: this module is the independent
 cross-check for the closed-form evaluators, so it performs the ring
@@ -185,8 +177,7 @@ def q_mul(a: QElement, b: QElement) -> QElement:
     The sparse convolution of the two elements' `terms`: the monomials
     of keys na and nb multiply to key na + nb, because the ring is
     Z[h] under q -> h^(r+1). No fold is needed, since h^(r+1+j) and
-    q * h^j share a key. Beauville's hypersurface ring would fold a
-    pair whose h-exponents sum past r (see the module docstring).
+    q * h^j share a key.
 
     Zero coefficients are dropped only when some key was hit twice; a
     key hit once holds the product of two nonzero integers, which is
@@ -218,10 +209,7 @@ def _counit_coefficient(a: QElement, b: QElement, d: int) -> int:
     without forming the product: the coefficient of key
     r + d*(r+1), the sum over a's keys na of a[na] * b[r + d*(r+1) - na].
 
-    On P^r this is every pair `q_mul` adds to that key. In Beauville's
-    hypersurface ring a folded pair lands e - 1 keys above na + nb (see
-    the module docstring), so that ring must also add the pairs that
-    fold onto this key.
+    This is every pair `q_mul` adds to that key.
     """
     r = a.r
     target = r + d * (r + 1)

@@ -17,12 +17,14 @@ checks the target, and `TevProblem(target, g, d)` derives n and
 decides the rest. `make_problem` is that call by name. Every
 constructed problem is well-posed.
 
-Each target check lives in one place. The factories `projective_space`,
-`hypersurface` and `quadric` convert and range-check their own
-arguments, then build the spec from the invariants they derived
-(index, s and t) without checking them again. `TargetSpec.__init__`
-is the door for asserted invariants: `homogeneous`, `custom` and a
-spec built field by field pass through its checks.
+Only this module decides whether a target is valid, and each kind
+has one door. A P^r, hypersurface or quadric spec comes only from its
+factory, `projective_space`, `hypersurface` or `quadric`: each
+converts and range-checks its own arguments, then builds the spec
+from the invariants it derived (index, s and t) without checking them
+again. So the closed forms only ever see an index and degree that fit
+their kind. `TargetSpec.__init__` is the door for the asserted kinds,
+`homogeneous` and `custom`, and raises InvalidTarget for any other.
 """
 
 from __future__ import annotations
@@ -95,7 +97,9 @@ class TargetSpec(ValueObject):
     invariant raises InvalidTarget rather than being truncated. Treated
     as immutable: nothing changes a spec after the constructor.
 
-    The constructor checks every invariant it is given. The P^r,
+    The constructor builds only the asserted kinds, homogeneous and
+    custom, and checks every invariant it is given; for a derived kind
+    it raises InvalidTarget naming the factory to use. The P^r,
     hypersurface and quadric factories check only their arguments:
     the invariants they derive from them hold by arithmetic, so
     `_trusted` assigns them unchecked.
@@ -115,6 +119,11 @@ class TargetSpec(ValueObject):
         t_bound: int | None = None,
         ci_degrees: tuple[int, ...] | None = None,
     ) -> None:
+        if kind is not TargetKind.HOMOGENEOUS and kind is not TargetKind.CUSTOM:
+            raise InvalidTarget(
+                f"a {kind.value} target comes only from TargetSpec.{kind.name.lower()}"
+                if isinstance(kind, TargetKind) else f"unknown target kind {kind!r}"
+            )
         self.kind = kind
         self.r = r = _integer(r, "dimension r", InvalidTarget)
         self.e = e = _integer(e, "degree e", InvalidTarget)

@@ -7,11 +7,12 @@ import pytest
 from tevdeg import (
     FormulaKind,
     HypothesisViolation,
-    NegativeExponent,
+    InvalidTarget,
     NoKnownFormula,
     TargetKind,
     TargetSpec,
     WellPosednessError,
+    degree_step,
     make_problem,
     padic_valuation,
     vtev,
@@ -101,23 +102,65 @@ def test_dispatch_covers_all_formula_kinds():
     assert hyp.formula is FormulaKind.HYPERSURFACE
 
 
-def test_formula_hypotheses_hold_for_targets_built_field_by_field():
-    # the constructor accepts any e, r and index for a kind, so each
-    # formula still checks its own hypotheses
+def test_derived_kinds_come_only_from_their_factories():
+    # the constructor refuses every spec of a kind with a closed form,
+    # so no spec that reaches `vtev` carries an e, r or index its
+    # formula does not fit: not a degree-2 "hypersurface", a quadric
+    # surface, a cubic 7-fold of index 100 or 7 (it has 6), nor P^2
+    # with index 5. A consistent P^2 is refused too.
     cases = [
-        (TargetSpec(TargetKind.HYPERSURFACE, r=5, e=2, index=5), 1, 2,
-         HypothesisViolation, "hypersurface formula needs e >= 3, got 2"),
-        (TargetSpec(TargetKind.QUADRIC, r=2, e=2, index=2), 1, 2,
-         HypothesisViolation, "quadric formula needs r >= 3, got 2"),
-        # index 100 forces n = 101 at g = 0, d = 7, so the last exponent
-        # is negative; no constructor pairs e, r and index like this
-        (TargetSpec(TargetKind.HYPERSURFACE, r=7, e=3, index=100), 0, 7,
-         NegativeExponent, "exponent (d-n)e - g + 1 = -281 is negative"),
+        (TargetKind.HYPERSURFACE, 5, 2, 5),
+        (TargetKind.QUADRIC, 2, 2, 2),
+        (TargetKind.HYPERSURFACE, 7, 3, 100),
+        (TargetKind.HYPERSURFACE, 7, 3, 7),
+        (TargetKind.PROJECTIVE_SPACE, 2, 1, 5),
+        (TargetKind.PROJECTIVE_SPACE, 2, 1, 3),
     ]
-    for target, g, d, error, message in cases:
-        with pytest.raises(error) as exc:
-            vtev(make_problem(target, g, d))
-        assert str(exc.value) == message
+    factories = {
+        TargetKind.PROJECTIVE_SPACE: "projective_space",
+        TargetKind.HYPERSURFACE: "hypersurface",
+        TargetKind.QUADRIC: "quadric",
+    }
+    for kind, r, e, index in cases:
+        for bounds in ({}, {"s_bound": index, "t_bound": index}):
+            with pytest.raises(InvalidTarget) as exc:
+                TargetSpec(kind, r=r, e=e, index=index, **bounds)
+            assert str(exc.value) == (
+                f"a {kind.value} target comes only from "
+                f"TargetSpec.{factories[kind]}"
+            )
+    asserted = {TargetKind.HOMOGENEOUS, TargetKind.CUSTOM}
+    assert set(factories) == set(TargetKind) - asserted
+    assert all(callable(getattr(TargetSpec, name)) for name in factories.values())
+
+
+def test_constructor_refuses_a_kind_that_is_not_a_target_kind():
+    with pytest.raises(InvalidTarget) as exc:
+        TargetSpec("custom", r=3, e=1, index=2)
+    assert str(exc.value) == "unknown target kind 'custom'"
+
+
+def test_hypersurface_exponent_is_at_least_one_on_every_cell():
+    # the last exponent (d-n)e - g + 1 of the hypersurface formula is
+    # (e-1)(g-1) + e*d(e-2)/r, which the factory's index r + 2 - e
+    # keeps at 1 or more; the evaluator has no guard for it
+    exponents = []
+    for e in range(3, 13):
+        for r in range(2 * e - 3, 2 * e + 31):
+            target = TargetSpec.hypersurface(e, r)
+            step = degree_step(target)
+            for g in range(11):
+                for d in range(step, 6 * step + 1, step):
+                    try:
+                        problem = make_problem(target, g, d)
+                    except WellPosednessError:
+                        continue
+                    base, exponent = vtev(problem).factorization[-1]
+                    assert base == e
+                    assert exponent == (d - problem.n) * e - g + 1
+                    exponents.append(exponent)
+    assert len(exponents) == 21925
+    assert min(exponents) == 1
 
 
 def test_dispatch_rejects_targets_without_formulas():

@@ -96,3 +96,36 @@ def test_sources_import_only_the_standard_library():
             for module in modules:
                 top = module.split(".", 1)[0]
                 assert top in sys.stdlib_module_names, (path.name, node.lineno, module)
+
+
+def _name_of(node):
+    """The class name an expression spells, as in `X` or `errors.X`."""
+    if isinstance(node, ast.Call):
+        node = node.func
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    return None
+
+
+def test_every_leaf_error_class_is_raised_somewhere():
+    # an error class with no subclass is dead unless some source raises
+    # it or passes it on as the class to raise, as
+    # `_integer(r, "dimension r", InvalidTarget)` does
+    errors = tevdeg.errors
+    leaves = {
+        name for name in errors.__all__
+        if not getattr(errors, name).__subclasses__()
+    }
+    used = set()
+    for path in sorted((ROOT / "src" / "tevdeg").glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                used.add(_name_of(node.exc))
+            elif isinstance(node, ast.Call):
+                arguments = node.args + [keyword.value for keyword in node.keywords]
+                used.update(_name_of(arg) for arg in arguments if not isinstance(arg, ast.Call))
+    assert len(leaves) >= 10
+    assert sorted(leaves - used) == []

@@ -25,10 +25,12 @@ from tevdeg import (
     TevError,
     TevProblem,
     UnstableRange,
+    binom,
     c1_pairing,
     check_complete_intersection,
     check_condition_ii,
     check_star2_prime0_hypersurface,
+    factorial,
     is_prime,
     legendre_valuation,
     make_problem,
@@ -242,6 +244,12 @@ NON_INTEGER_CALLS = [
     # the closed forms' bound on a grid's values
     (lambda: value_bits(TargetSpec.projective_space(2), 4.0, 6), DomainError),
     (lambda: value_bits(TargetSpec.quadric(5), 4, "6"), DomainError),
+    # the exact combinatorics, also where k > n once returned 0
+    (lambda: binom(4.0, 2), DomainError),
+    (lambda: factorial(3.0), DomainError),
+    (lambda: binom("4", 2), DomainError),
+    (lambda: binom(4, 5.5), DomainError),
+    (lambda: binom(4.0, 5), DomainError),
 ]
 
 
@@ -312,6 +320,21 @@ def test_line_routes_compute_with_converted_arguments():
 def test_valuations_compute_with_converted_arguments():
     assert legendre_valuation(Index(10), 2) == legendre_valuation(10, Index(2)) == 8
     assert padic_valuation(Index(8), 2) == padic_valuation(-24, Index(2)) == 3
+    assert binom(Index(4), Index(2)) == 6
+    assert binom(4, True) == 4
+    assert factorial(Index(4)) == factorial(4) == 24
+    assert type(binom(Index(4), Index(5))) is int
+
+
+def test_binomial_names_the_argument_that_is_not_an_integer():
+    for args, message in [
+        ((4, 5.5), "k must be an integer, got 5.5"),
+        ((4.0, 5), "n must be an integer, got 4.0"),
+        (("4", 2.0), "n must be an integer, got '4'"),
+    ]:
+        with pytest.raises(DomainError) as exc:
+            binom(*args)
+        assert str(exc.value) == message
 
 
 def test_a_bool_passes_the_integer_check():
@@ -439,10 +462,10 @@ def test_derived_targets_convert_each_argument_once(monkeypatch):
 
 
 def _reference_target(e, r):
-    """The degree-e hypersurface of dimension r built field by field
-    through the validating constructor, or the error class a factory
-    raises for it: the reference the factories' one-step build is
-    checked against."""
+    """The fields (kind, r, e, index, s, t, ci_degrees) of the degree-e
+    hypersurface of dimension r, written out literally, or the error
+    class a factory raises for it: the reference the factories'
+    one-step build is checked against."""
     if e < 1:
         return InvalidTarget
     if e == 1:
@@ -455,7 +478,7 @@ def _reference_target(e, r):
         return InvalidTarget
     if index <= 0:
         return NonFano
-    return TargetSpec(kind, r=r, e=e, index=index, s_bound=index, t_bound=index)
+    return (kind, r, e, index, index, index, None)
 
 
 def _integer_likes(value):
@@ -480,10 +503,9 @@ def test_derived_targets_equal_the_validated_construction():
                     if isinstance(expected, type):
                         assert type(spec) is tuple and spec[0] is expected, (e, r, spec)
                         continue
-                    assert spec == expected, (e, r, spec)
-                    fields = (spec.r, spec.e, spec.index, spec.s_bound, spec.t_bound)
-                    assert [type(v) for v in fields] == [int] * 5, (e, r)
-                    assert spec.ci_degrees is None
+                    fields = tuple(getattr(spec, name) for name in spec._fields)
+                    assert fields == expected, (e, r, spec)
+                    assert [type(v) for v in fields[1:6]] == [int] * 5, (e, r)
 
 
 def test_field_built_target_rejects_degree_below_one():
