@@ -14,11 +14,18 @@ integer flag (`--g`, `--workers`, `--r`, ...) follows the same rule,
 and a bad value is a usage error that names the flag.
 
 Subcommands: vtev, tev-p1, qh-check, certify, very-free. Each run
-emits one record per computation, written to stdout or `--out` as
-soon as it is computed, in one write together with the separator
-before it, so a sweep (or `qh-check --per-case`) holds one record at
-a time and an interrupted run leaves the records written so far in
-`--out`.
+emits one record per computation to stdout or `--out`. Records, each
+with the separator before it, go out in batches, one write per batch:
+a batch is written once it holds `io.DEFAULT_BUFFER_SIZE` (8192)
+characters, or once a record arrives 20 ms or more after the last
+write, and the rest goes out with the final newline. So a sweep (or
+`qh-check --per-case`) holds at most one batch and one record, a
+record waits at most 20 ms or one further cell, a cell of 20 ms or
+more has its record written as it finishes, and a run interrupted by
+an exception (Ctrl-C, or a failing cell) writes its pending batch
+before the exception propagates, so `--out` keeps every finished
+record. The clock decides only where the writes split, never the
+bytes.
 `--json` switches to newline-delimited JSON objects with every number
 serialized as a decimal string, so arbitrarily large values survive
 any JSON parser. `main` lifts Python's 4300-digit limit on int-to-str
@@ -59,12 +66,14 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import io
 import itertools
 import json
 import os
 import sys
 from collections.abc import Iterator
 from functools import partial
+from time import monotonic
 
 from . import errors
 from .certify import (
@@ -78,7 +87,7 @@ from .closed_forms import value_bits, vtev
 from .errors import TargetParseError, TevError, WellPosednessError
 from .quantum import PowerTable, tqft_vtev
 from .schubert import tev_p1_binomial, tev_p1_schubert
-from .targets import TargetSpec, ValueObject, degree_step, make_problem
+from .targets import TargetKind, TargetSpec, ValueObject, degree_step, make_problem
 
 __all__ = ["RunRecord", "main", "parse_target"]
 
@@ -93,11 +102,13 @@ def parse_target(text: str) -> TargetSpec:
         return TargetSpec.hypersurface(_int(args[0]), _int(args[1]))
     if head == "quadric" and len(args) == 1:
         return TargetSpec.quadric(_int(args[0]))
+    # gp: and custom: fields are ints once parsed, so the spec takes
+    # them without converting each a second time
     if head == "gp" and len(args) in (2, 4):
         r, index = _int(args[0]), _int(args[1])
         s = _int(args[2]) if len(args) == 4 else None
         t = _int(args[3]) if len(args) == 4 else None
-        return TargetSpec.homogeneous(r, index, s_bound=s, t_bound=t)
+        return TargetSpec._asserted(TargetKind.HOMOGENEOUS, r, index, s, t, None)
     if head == "custom" and len(args) in (2, 4, 5):
         r, index = _int(args[0]), _int(args[1])
         s = _int(args[2]) if len(args) >= 4 else None
@@ -105,9 +116,7 @@ def parse_target(text: str) -> TargetSpec:
         degrees = None
         if len(args) == 5:
             degrees = tuple(map(_int, args[4].split(",")))
-        return TargetSpec.custom(
-            r, index, s_bound=s, t_bound=t, ci_degrees=degrees
-        )
+        return TargetSpec._asserted(TargetKind.CUSTOM, r, index, s, t, degrees)
     raise TargetParseError(f"unrecognized target description {text!r}")
 
 
@@ -425,16 +434,25 @@ def render_table(record: RunRecord) -> str:
     return "\n".join(lines)
 
 
-# one encoder, built at import, renders every record with json.dumps's
-# defaults. A record holds only strings, dicts and lists, so it cannot
-# contain itself: the encoder skips the cycle check that dumps's cached
-# encoder makes on each dict and list, and the call skips dumps's tests
-# of its keyword arguments.
-_encode = json.JSONEncoder(check_circular=False).encode
+_quote = json.encoder.encode_basestring_ascii
+
+
+def _json_members(mapping: dict[str, str]) -> str:
+    return ", ".join([f"{_quote(key)}: {_quote(value)}" for key, value in mapping.items()])
 
 
 def render_json(record: RunRecord) -> str:
-    return _encode(record.to_dict())
+    """`json.dumps(record.to_dict())`, byte for byte: a record holds
+    only strings, so every key and value is quoted as `json.dumps`
+    quotes it, and the six fields are spelled out in their order."""
+    error_kind = "null" if record.error_kind is None else _quote(record.error_kind)
+    return (
+        f'{{"command": {_quote(record.command)}, '
+        f'"inputs": {{{_json_members(record.inputs)}}}, '
+        f'"outputs": {{{_json_members(record.outputs)}}}, '
+        f'"citations": [{", ".join(map(_quote, record.citations))}], '
+        f'"status": {_quote(record.status)}, "error_kind": {error_kind}}}'
+    )
 
 
 # an integer flag follows the grammar's rule; argparse turns the
@@ -557,6 +575,12 @@ def _open_output(parser: argparse.ArgumentParser, path: str | None):
         parser.error(f"cannot open --out {path}: {exc.strerror}")
 
 
+# a batch of records is written once it holds this many characters, or
+# once a record arrives this many seconds after the last write
+_BATCH_SIZE = io.DEFAULT_BUFFER_SIZE
+_BATCH_SECONDS = 0.02
+
+
 def _write_failed(stream, exc: OSError) -> int:
     """Exit code 1 for a write or flush that failed. The stream's
     descriptor is pointed at devnull, as in Python's SIGPIPE note, so
@@ -594,26 +618,43 @@ def _main(argv) -> int:
 
     render = render_json if args.json else render_table
     separator = "\n" if args.json else "\n\n"
-    written = 0
+    count = 0
     with _open_output(parser, args.out) as stream:
-        # each record reaches the stream in one write, its separator
-        # first, as its cell finishes: a sweep holds one record at a
-        # time, and a serial one stops at its first failed write
-        for record in run():
-            text = render(record)
-            try:
-                stream.write(separator + text if written else text)
-            except OSError as exc:
-                return _write_failed(stream, exc)
-            written += 1
+        # one write per batch (the module docstring gives the rule): a
+        # sweep holds at most a batch, and a serial one stops within a
+        # batch of its first failed write
+        batch, size = [], 0
+        deadline = monotonic() + _BATCH_SECONDS
         try:
-            stream.write("\n")
+            for record in run():
+                text = render(record)
+                batch.append(separator + text if count else text)
+                count += 1
+                size += len(batch[-1])
+                if size < _BATCH_SIZE and monotonic() < deadline:
+                    continue
+                text, batch, size = "".join(batch), [], 0
+                try:
+                    stream.write(text)
+                except OSError as exc:
+                    return _write_failed(stream, exc)
+                deadline = monotonic() + _BATCH_SECONDS
+        except BaseException:
+            # a cell failed or the run was interrupted: the finished
+            # records still reach the stream, and the exception
+            # propagates whatever that write does
+            with contextlib.suppress(Exception):
+                stream.write("".join(batch))
+            raise
+        batch.append("\n")
+        try:
+            stream.write("".join(batch))
             stream.flush()  # a closed pipe raises here, not at exit
         except OSError as exc:
             return _write_failed(stream, exc)
     # 0 unless a single record of a point, qh-check or very-free run
     # failed; then the `exit_code` of the error class it names
-    if swept or written != 1 or record.status == "ok":
+    if swept or count != 1 or record.status == "ok":
         return 0
     return getattr(errors, record.error_kind).exit_code
 

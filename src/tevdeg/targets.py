@@ -25,6 +25,9 @@ from the invariants it derived (index, s and t) without checking them
 again. So the closed forms only ever see an index and degree that fit
 their kind. `TargetSpec.__init__` is the door for the asserted kinds,
 `homogeneous` and `custom`, and raises InvalidTarget for any other.
+It converts its arguments, then range-checks them in `_assign`; the
+target grammar, whose fields are ints once parsed, goes through
+`_asserted`, which makes the same range checks without converting.
 """
 
 from __future__ import annotations
@@ -98,8 +101,9 @@ class TargetSpec(ValueObject):
     as immutable: nothing changes a spec after the constructor.
 
     The constructor builds only the asserted kinds, homogeneous and
-    custom, and checks every invariant it is given; for a derived kind
-    it raises InvalidTarget naming the factory to use. The P^r,
+    custom, and checks every invariant it is given, converting all of
+    them before it checks any range; for a derived kind it raises
+    InvalidTarget naming the factory to use. The P^r,
     hypersurface and quadric factories check only their arguments:
     the invariants they derive from them hold by arithmetic, so
     `_trusted` assigns them unchecked.
@@ -124,10 +128,23 @@ class TargetSpec(ValueObject):
                 f"a {kind.value} target comes only from TargetSpec.{kind.name.lower()}"
                 if isinstance(kind, TargetKind) else f"unknown target kind {kind!r}"
             )
-        self.kind = kind
-        self.r = r = _integer(r, "dimension r", InvalidTarget)
-        self.e = e = _integer(e, "degree e", InvalidTarget)
-        self.index = index = _integer(index, "index", InvalidTarget)
+        r = _integer(r, "dimension r", InvalidTarget)
+        e = _integer(e, "degree e", InvalidTarget)
+        index = _integer(index, "index", InvalidTarget)
+        if s_bound is not None:
+            s_bound = _integer(s_bound, "s bound", InvalidTarget)
+        if t_bound is not None:
+            t_bound = _integer(t_bound, "t bound", InvalidTarget)
+        if ci_degrees is not None:
+            ci_degrees = tuple([
+                _integer(e_i, "complete intersection degree", InvalidTarget)
+                for e_i in ci_degrees
+            ])
+        self._assign(kind, r, e, index, s_bound, t_bound, ci_degrees)
+
+    def _assign(self, kind, r, e, index, s_bound, t_bound, ci_degrees) -> None:
+        """The range checks of an asserted kind's invariants, given as
+        ints (`ci_degrees` as a tuple or None), then the slots."""
         if r < 1:
             raise InvalidTarget(f"dimension must be >= 1, got r={r}")
         if e < 1:
@@ -137,26 +154,39 @@ class TargetSpec(ValueObject):
                 f"anticanonical degree {index} is not positive; "
                 "the target is not Fano"
             )
-        if s_bound is not None:
-            s_bound = _integer(s_bound, "s bound", InvalidTarget)
-            if s_bound < 1:
-                raise InvalidTarget(f"s bound must be >= 1, got {s_bound}")
+        if s_bound is not None and s_bound < 1:
+            raise InvalidTarget(f"s bound must be >= 1, got {s_bound}")
         if t_bound is not None:
-            t_bound = _integer(t_bound, "t bound", InvalidTarget)
             if t_bound < 1:
                 raise InvalidTarget(f"t bound must be >= 1, got {t_bound}")
             if s_bound is not None and s_bound < t_bound:
                 raise InvalidTarget("s bound cannot be smaller than t bound")
-        if ci_degrees is not None:
-            ci_degrees = tuple([
-                _integer(e_i, "complete intersection degree", InvalidTarget)
-                for e_i in ci_degrees
-            ])
-            if any(e_i < 1 for e_i in ci_degrees):
-                raise InvalidTarget("complete intersection degrees must be >= 1")
+        if ci_degrees is not None and any(e_i < 1 for e_i in ci_degrees):
+            raise InvalidTarget("complete intersection degrees must be >= 1")
+        self.kind = kind
+        self.r = r
+        self.e = e
+        self.index = index
         self.s_bound = s_bound
         self.t_bound = t_bound
         self.ci_degrees = ci_degrees
+
+    @classmethod
+    def _asserted(
+        cls,
+        kind: TargetKind,
+        r: int,
+        index: int,
+        s_bound: int | None,
+        t_bound: int | None,
+        ci_degrees: tuple[int, ...] | None,
+    ) -> "TargetSpec":
+        """A homogeneous or custom spec from ints, as the target
+        grammar parses them: the constructor's range checks, in its
+        order and with its messages, without its conversions."""
+        spec = object.__new__(cls)
+        spec._assign(kind, r, 1, index, s_bound, t_bound, ci_degrees)
+        return spec
 
     @classmethod
     def _trusted(cls, kind: TargetKind, r: int, e: int, index: int) -> "TargetSpec":

@@ -6,8 +6,11 @@ import ast
 import concurrent.futures
 import contextlib
 import hashlib
+import io
+import itertools
 import json
 import os
+import random
 import re
 import signal
 import subprocess
@@ -66,6 +69,44 @@ def test_parse_target_grammar():
     assert parse_target("p:007") == parse_target("p:7")
     with pytest.raises(InvalidTarget, match="needs r >= 1, got -2"):
         parse_target("p:-2")
+
+
+def _outcome(build):
+    """The spec `build()` returns, or the class and message it raises."""
+    try:
+        return build()
+    except TevError as exc:
+        return type(exc), str(exc)
+
+
+def test_asserted_targets_parse_as_their_factories_build():
+    # the parser hands its ints to the spec unconverted; each gp: and
+    # custom: text must still give the factory's spec, or its error
+    fields = range(-1, 7)
+    degree_lists = [None, (0,), (0, 2), (3, 0), (2, 0, 3), (2, 3)]
+    checked = 0
+    for r, index in itertools.product(fields, repeat=2):
+        for head, factory in (("gp", TargetSpec.homogeneous), ("custom", TargetSpec.custom)):
+            got = _outcome(lambda: parse_target(f"{head}:{r}:{index}"))
+            assert got == _outcome(lambda: factory(r, index)), (head, r, index)
+            checked += 1
+        for s, t in itertools.product(fields, repeat=2):
+            text = f"gp:{r}:{index}:{s}:{t}"
+            got = _outcome(lambda: parse_target(text))
+            assert got == _outcome(lambda: TargetSpec.homogeneous(r, index, s, t)), text
+            checked += 1
+            for degrees in degree_lists:
+                text = f"custom:{r}:{index}:{s}:{t}"
+                if degrees is not None:
+                    text += ":" + ",".join(map(str, degrees))
+                got = _outcome(lambda: parse_target(text))
+                want = _outcome(lambda: TargetSpec.custom(r, index, s, t, degrees))
+                assert got == want, text
+                if isinstance(got, TargetSpec):
+                    assert all(type(getattr(got, name)) is int
+                               for name in ("r", "e", "index", "s_bound", "t_bound"))
+                checked += 1
+    assert checked == 2 * 8 * 8 + 8 ** 4 * (1 + len(degree_lists))
 
 
 # a valid command line for each integer flag, whose value the test
@@ -1117,11 +1158,53 @@ def _records_of_every_command():
     ]
 
 
+# characters json.dumps escapes, or must keep distinct: controls, the
+# quote and the backslash, line and paragraph separators, the last BMP
+# character, non-BMP characters (written as surrogate pairs), and lone
+# surrogates, as decoding a command line's undecodable bytes produces
+_ODD_CHARACTERS = [
+    *map(chr, range(0x20)), "\x7f", '"', "\\", "/", "\u2028", "\u2029", "\uffff",
+    "\U0001d53c", "\U0010ffff", "\ud800", "\udbff", "\udc00", "\udcff", "\udfff",
+    "a", "Z", "0", " ", ":", "\u00e9", "\u2603",
+]
+
+
+def _random_records(rng, strings):
+    """Records whose every string slot, keys included, is drawn from
+    `strings`, consumed in order; error_kind is None for every third."""
+    draw = iter(strings).__next__
+    records = []
+    while True:
+        try:
+            records.append(cli.RunRecord(
+                draw(),
+                {draw(): draw() for _ in range(rng.randrange(4))},
+                {draw(): draw() for _ in range(rng.randrange(4))},
+                [draw() for _ in range(rng.randrange(3))],
+                draw(),
+                None if len(records) % 3 == 0 else draw(),
+            ))
+        except StopIteration:
+            return records
+
+
 def test_render_json_renders_like_json_dumps():
     records = _records_of_every_command()
     kinds = {(r.command, r.status) for r in records}
     assert kinds == {(command, status) for command in cli._COMMANDS
                      for status in ("ok", "error")}
+    records += [
+        # outputs and citations left at their defaults
+        cli.RunRecord("vtev", {"target": "p:2", "g": "1", "d": "2"}),
+        # the target a command line with the byte 0xff decodes to
+        run_vtev("p:\udcff", 1, 2),
+    ]
+    assert records[-2].outputs == {} and records[-2].citations == []
+    rng = random.Random(2029)
+    strings = ["".join(rng.choices(_ODD_CHARACTERS, k=rng.randrange(9)))
+               for _ in range(2000)]
+    records += _random_records(rng, strings)
+    assert len(records) > 100
     for record in records:
         assert cli.render_json(record) == json.dumps(record.to_dict())
 
@@ -1293,18 +1376,24 @@ def _group_exits(pgid, timeout=5.0):
 
 
 class _Sink:
-    """A stdout stand-in that counts the characters written to it; its
-    `fail_at`-th write raises BrokenPipeError, as a closed pipe does."""
+    """A stdout stand-in that keeps the length of each write; its
+    `fail_at`-th write raises `error`, by default BrokenPipeError, as
+    a closed pipe does."""
 
-    def __init__(self, fd=None, fail_at=None):
-        self.fd, self.fail_at = fd, fail_at
-        self.writes = self.size = 0
+    def __init__(self, fd=None, fail_at=None, error=BrokenPipeError):
+        self.fd, self.fail_at, self.error = fd, fail_at, error
+        self.writes = 0
+        self.lengths = []
+
+    @property
+    def size(self):
+        return sum(self.lengths)
 
     def write(self, text):
         self.writes += 1
         if self.writes == self.fail_at:
-            raise BrokenPipeError
-        self.size += len(text)
+            raise self.error
+        self.lengths.append(len(text))
         return len(text)
 
     def flush(self):
@@ -1314,30 +1403,123 @@ class _Sink:
         return self.fd
 
 
+class _Clock:
+    """A stand-in for `cli.monotonic` that advances `step` seconds on
+    each call, adding as the CLI adds its deadline, so that a step of
+    exactly `cli._BATCH_SECONDS` reaches each deadline exactly."""
+
+    def __init__(self, step):
+        self.now, self.step = 1000.0, step
+
+    def __call__(self):
+        self.now += self.step
+        return self.now
+
+
+def _rendered(argv):
+    """The separated texts of the records that `argv` writes, as the
+    CLI renders them, without the final newline."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(argv) == 0
+    separator = "\n" if "--json" in argv else "\n\n"
+    texts = out.getvalue()[:-1].split(separator)
+    return [texts[0], *(separator + text for text in texts[1:])]
+
+
 @pytest.mark.parametrize("json_flag", [["--json"], []], ids=["json", "table"])
 @pytest.mark.parametrize("command", [
-    ["vtev", "--target", "p:2", "--sweep", "--g-max", "5", "--d-max", "7"],
-    ["qh-check", "--r", "2", "--g-max", "6", "--d-max", "12", "--per-case"],
+    ["vtev", "--target", "p:2", "--sweep", "--g-max", "20", "--d-max", "30"],
+    ["qh-check", "--r", "2", "--g-max", "20", "--d-max", "40", "--per-case"],
 ], ids=["sweep", "qh-check"])
 def test_each_record_is_one_write(monkeypatch, command, json_flag):
-    # a record and the separator before it go out in one write, then
-    # the final newline: records + 1 writes (two per record before)
+    # records go out in batches: with the clock frozen only the batch
+    # size splits them, so a write is at least _BATCH_SIZE characters
+    # and ends at the first record that takes it there, and the final
+    # newline ends the last write; with a clock that passes
+    # _BATCH_SECONDS between calls each record is one write as it
+    # arrives, and the final newline one more; with one that passes
+    # 3/4 of it, the deadline set after each write falls between the
+    # next two records, so they go out in pairs. Each record is
+    # rendered once
+    argv = command + json_flag
+    texts = _rendered(argv)
+    records = len(texts)
     renders = {"render_json": 0, "render_table": 0}
     for name in renders:
         def counted(record, name=name, render=getattr(cli, name)):
             renders[name] += 1
             return render(record)
         monkeypatch.setattr(cli, name, counted)
-    if command[0] == "qh-check":
-        records = int(cli.run_qh_check(2, 6, 12)[0].outputs["cases"]) + 1
-    else:
-        records = 6 * 7
+    used = "render_json" if json_flag else "render_table"
+    lengths = [*map(len, texts), 1]
+    for step in (cli._BATCH_SECONDS, 0.75 * cli._BATCH_SECONDS, 0.0):
+        monkeypatch.setattr(cli, "monotonic", _Clock(step))
+        sink = _Sink()
+        monkeypatch.setattr(sys, "stdout", sink)
+        assert main(argv) == 0
+        assert renders == {name: records if name == used else 0 for name in renders}
+        renders.update(dict.fromkeys(renders, 0))
+        if step == cli._BATCH_SECONDS:
+            assert sink.lengths == lengths
+            continue
+        if step:
+            pairs = [sum(lengths[i:i + 2]) for i in range(0, records - records % 2, 2)]
+            assert sink.lengths == pairs + [sum(lengths[len(pairs) * 2:])]
+            continue
+        # the frozen clock: the batches are the greedy split of the texts
+        batches, size = [], 0
+        for text in texts:
+            size += len(text)
+            if size >= cli._BATCH_SIZE:
+                batches.append(size)
+                size = 0
+        batches.append(size + 1)
+        assert sink.lengths == batches
+        total = sum(map(len, texts)) + 1
+        assert abs(sink.writes - -(-total // cli._BATCH_SIZE)) <= 1
+        assert sink.writes < records / 20
+
+
+def test_a_record_of_a_full_batch_is_written_as_it_arrives(monkeypatch):
+    # each value 2^g has over 9000 digits, so each record alone fills a
+    # batch: even with the clock frozen it is written as it arrives
+    argv = ["vtev", "--target", "p:1", "--sweep", "--g-min", "30000", "--g-max", "30002",
+            "--d-min", "15001", "--d-max", "15002", "--json"]
+    texts = _rendered(argv)
+    assert len(texts) == 6 and min(map(len, texts)) > cli._BATCH_SIZE
+    monkeypatch.setattr(cli, "monotonic", _Clock(0.0))
     sink = _Sink()
     monkeypatch.setattr(sys, "stdout", sink)
-    assert main(command + json_flag) == 0
-    assert sink.writes == records + 1
-    used = "render_json" if json_flag else "render_table"
-    assert renders == {name: records if name == used else 0 for name in renders}
+    assert main(argv) == 0
+    assert sink.lengths == [*map(len, texts), 1]
+
+
+def test_unbuffered_stdout_makes_one_system_call_per_batch(monkeypatch):
+    # `python -u` and PYTHONUNBUFFERED=1 give a text layer that passes
+    # each write straight to the raw descriptor: one system call per
+    # write. The clock is frozen, as a machine slow enough to spend
+    # _BATCH_SECONDS between records would rightly write more often.
+    class CountingRaw(io.RawIOBase):
+        writes = size = 0
+
+        def writable(self):
+            return True
+
+        def write(self, data):
+            self.writes += 1
+            self.size += len(data)
+            return len(data)
+
+    raw = CountingRaw()
+    stdout = io.TextIOWrapper(raw, encoding="utf-8", write_through=True)
+    monkeypatch.setattr(sys, "stdout", stdout)
+    monkeypatch.setattr(cli, "monotonic", _Clock(0.0))
+    argv = ["vtev", "--target", "p:2", "--sweep", "--g-max", "39", "--d-max", "60", "--json"]
+    assert main(argv) == 0
+    assert raw.size > 50 * cli._BATCH_SIZE
+    # one write per record and one for the final newline before batches
+    assert raw.writes <= -(-raw.size // cli._BATCH_SIZE) + 1
 
 
 _DEV_FULL = Path("/dev/full")
@@ -1401,15 +1583,85 @@ def test_a_failed_write_stops_a_serial_sweep(monkeypatch, tmp_path):
         cells.append((g, d))
         return run_vtev(target, g, d)
 
+    argv = ["vtev", "--target", "p:2", "--sweep", "--g-max", "20", "--d-max", "20", "--json"]
+    # a batch ends at the first record that takes it to _BATCH_SIZE
+    # characters, so it holds at most this many records
+    lengths = [len(text) for text in _rendered(argv)[1:]]
+    per_batch = -(-cli._BATCH_SIZE // min(lengths))
+    monkeypatch.setattr(cli, "monotonic", _Clock(0.0))
     monkeypatch.setattr(cli, "run_vtev", counted)
     # the broken-pipe handler points the stream's descriptor at
     # devnull; here that descriptor is a scratch file's
     with open(tmp_path / "stdout", "w") as scratch:
-        monkeypatch.setattr(sys, "stdout", _Sink(scratch.fileno(), fail_at=3))
-        code = main(["vtev", "--target", "p:2", "--sweep", "--g-max", "20",
-                     "--d-max", "20", "--json"])
+        sink = _Sink(scratch.fileno(), fail_at=3)
+        monkeypatch.setattr(sys, "stdout", sink)
+        code = main(argv)
     assert code == 1
-    assert 1 <= len(cells) <= 3
+    # no cell runs after the third write, the first that fails
+    assert sink.writes == 3
+    assert 2 * (cli._BATCH_SIZE // max(lengths)) <= len(cells) <= 3 * per_batch < 21 * 20
+
+
+@pytest.mark.parametrize("error", [KeyboardInterrupt, OSError], ids=["interrupt", "cell-error"])
+@pytest.mark.parametrize("cell", [5, 150], ids=["first-batch", "later-batch"])
+def test_an_interrupted_sweep_keeps_its_finished_records(monkeypatch, tmp_path, capsys,
+                                                       error, cell):
+    # the cell-th cell raises: the records of the cells before it are
+    # all in --out, however the batches fell, and the exception is the
+    # cell's, never reported as a failed write
+    argv = ["vtev", "--target", "p:2", "--sweep", "--g-max", "20", "--d-max", "20", "--json"]
+    finished = "".join(_rendered(argv)[:cell - 1])
+    calls = []
+
+    def failing(target, g, d):
+        calls.append((g, d))
+        if len(calls) == cell:
+            raise error("cell failed")
+        return run_vtev(target, g, d)
+
+    monkeypatch.setattr(cli, "monotonic", _Clock(0.0))
+    monkeypatch.setattr(cli, "run_vtev", failing)
+    out = tmp_path / "records.jsonl"
+    with pytest.raises(error, match="cell failed"):
+        main([*argv, "--out", str(out)])
+    assert out.read_text() == finished
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("error", [BrokenPipeError, ValueError])
+def test_an_interrupt_survives_a_failed_write_of_its_batch(monkeypatch, tmp_path, capsys, error):
+    # the pending batch, here two records, is written before the
+    # interrupt propagates; a closed pipe, or any other failure, at that
+    # write does not replace the interrupt
+    calls = []
+
+    def failing(target, g, d):
+        calls.append((g, d))
+        if len(calls) == 3:
+            raise KeyboardInterrupt
+        return run_vtev(target, g, d)
+
+    monkeypatch.setattr(cli, "monotonic", _Clock(0.0))
+    monkeypatch.setattr(cli, "run_vtev", failing)
+    with open(tmp_path / "stdout", "w") as scratch:
+        sink = _Sink(scratch.fileno(), fail_at=1, error=error)
+        monkeypatch.setattr(sys, "stdout", sink)
+        with pytest.raises(KeyboardInterrupt):
+            main(["vtev", "--target", "p:2", "--sweep", "--g-max", "3", "--d-max", "3"])
+    assert sink.writes == 1
+    assert capsys.readouterr().err == ""
+
+
+def test_a_pool_that_fails_to_start_is_no_write_failure(monkeypatch, capsys):
+    def no_pool(*args, **kwargs):
+        raise OSError(24, "Too many open files")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    with pytest.raises(OSError, match="Too many open files"):
+        main(["tev-p1", "--method", "both", "--sweep", "--g-max", "3", "--d-max", "3",
+              "--workers", "2", "--json"])
+    assert capsys.readouterr() == ("", "")
 
 
 def test_qh_check_per_case_holds_one_record_at_a_time(monkeypatch):

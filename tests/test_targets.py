@@ -572,6 +572,18 @@ def test_custom_records_ci_degrees():
         TargetSpec.custom(7, 6, ci_degrees=(0,))
 
 
+@pytest.mark.parametrize("build, message", [
+    (lambda: TargetSpec.custom(0, 0, s_bound=2.5), "s bound must be an integer"),
+    (lambda: TargetSpec.homogeneous(5, 2, s_bound=0, t_bound="3"), "t bound must be an integer"),
+    (lambda: TargetSpec.custom(5, 2, 1, 2, ci_degrees=(2.0,)),
+     "complete intersection degree must be an integer"),
+])
+def test_asserted_kinds_convert_every_argument_before_any_range_check(build, message):
+    # each call also holds an out-of-range argument that comes earlier
+    with pytest.raises(InvalidTarget, match=message):
+        build()
+
+
 def test_describe_is_human_readable():
     assert "P^3" in TargetSpec.projective_space(3).describe()
     assert "hypersurface" in TargetSpec.hypersurface(4, 9).describe()
