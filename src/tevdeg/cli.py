@@ -48,7 +48,8 @@ serial sweeps start faster.
 
 Exit codes: 0 ok, 1 output could not be written: stdout closed early
 (a broken pipe, as in `| head`, which goes unreported), or any other
-failed write or flush, such as a full disk, which prints the one line
+failed write or flush, such as a full disk or text the stream's
+encoding cannot spell, which prints the one line
 `tevdeg: error: cannot write output: <reason>` to stderr (either way a
 serial sweep or `qh-check --per-case` stops at its first failed
 write, and a pooled sweep shuts its pool down), 2 parse or usage
@@ -581,17 +582,18 @@ _BATCH_SIZE = io.DEFAULT_BUFFER_SIZE
 _BATCH_SECONDS = 0.02
 
 
-def _write_failed(stream, exc: OSError) -> int:
+def _write_failed(stream, exc: OSError | UnicodeEncodeError) -> int:
     """Exit code 1 for a write or flush that failed. The stream's
     descriptor is pointed at devnull, as in Python's SIGPIPE note, so
     the flush when `--out` closes or the interpreter exits writes what
     is left nowhere and cannot fail again. A closed pipe is the reader
     leaving early (`| head`) and goes unreported; any other failure, a
-    full disk say, prints one line."""
+    full disk or text the stream's encoding cannot spell, prints one
+    line."""
     with open(os.devnull, "w") as devnull:
         os.dup2(devnull.fileno(), stream.fileno())
     if not isinstance(exc, BrokenPipeError):
-        reason = exc.strerror or exc
+        reason = getattr(exc, "strerror", None) or exc
         sys.stderr.write(f"tevdeg: error: cannot write output: {reason}\n")
     return 1
 
@@ -636,7 +638,7 @@ def _main(argv) -> int:
                 text, batch, size = "".join(batch), [], 0
                 try:
                     stream.write(text)
-                except OSError as exc:
+                except (OSError, UnicodeEncodeError) as exc:
                     return _write_failed(stream, exc)
                 deadline = monotonic() + _BATCH_SECONDS
         except BaseException:
@@ -650,7 +652,7 @@ def _main(argv) -> int:
         try:
             stream.write("".join(batch))
             stream.flush()  # a closed pipe raises here, not at exit
-        except OSError as exc:
+        except (OSError, UnicodeEncodeError) as exc:
             return _write_failed(stream, exc)
     # 0 unless a single record of a point, qh-check or very-free run
     # failed; then the `exit_code` of the error class it names

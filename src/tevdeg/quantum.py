@@ -312,12 +312,10 @@ def tqft_vtev(
     one, a fresh table serves this call alone. When both powers are
     already in the table, the call takes no product.
     """
-    r = _integer(r, "r")
+    r = _check_rank(r)
     g = _integer(g, "g")
     d = _integer(d, "d")
     n = _integer(n, "n")
-    if r < 1:
-        raise DomainError(f"need r >= 1, got {r}")
     if g < 0 or d < 0 or n < 0:
         raise DomainError(f"g, d, n must be >= 0, got ({g}, {d}, {n})")
     if powers is None:

@@ -18,16 +18,17 @@ decides the rest. `make_problem` is that call by name. Every
 constructed problem is well-posed.
 
 Only this module decides whether a target is valid, and each kind
-has one door. A P^r, hypersurface or quadric spec comes only from its
-factory, `projective_space`, `hypersurface` or `quadric`: each
-converts and range-checks its own arguments, then builds the spec
-from the invariants it derived (index, s and t) without checking them
-again. So the closed forms only ever see an index and degree that fit
-their kind. `TargetSpec.__init__` is the door for the asserted kinds,
-`homogeneous` and `custom`, and raises InvalidTarget for any other.
-It converts its arguments, then range-checks them in `_assign`; the
-target grammar, whose fields are ints once parsed, goes through
-`_asserted`, which makes the same range checks without converting.
+has one door, its factory; `TargetSpec(...)` itself raises
+InvalidTarget. A P^r, hypersurface or quadric spec comes only from
+`projective_space`, `hypersurface` or `quadric`: each converts and
+range-checks its own arguments, then builds the spec from the
+invariants it derived (index, s and t) without checking them again.
+So the closed forms only ever see an index and degree that fit their
+kind. A homogeneous or custom spec comes only from `homogeneous` or
+`custom`, which convert every argument before any range check and
+then build through `_asserted`, the one copy of those range checks;
+the target grammar, whose fields are ints once parsed, calls
+`_asserted` directly.
 """
 
 from __future__ import annotations
@@ -98,57 +99,42 @@ class TargetSpec(ValueObject):
     two-point) evaluation; for homogeneous and custom targets they are
     recorded as asserted by the caller, never derived. A non-integer
     invariant raises InvalidTarget rather than being truncated. Treated
-    as immutable: nothing changes a spec after the constructor.
+    as immutable: nothing changes a spec after its factory.
 
-    The constructor builds only the asserted kinds, homogeneous and
-    custom, and checks every invariant it is given, converting all of
-    them before it checks any range; for a derived kind it raises
-    InvalidTarget naming the factory to use. The P^r,
-    hypersurface and quadric factories check only their arguments:
-    the invariants they derive from them hold by arithmetic, so
-    `_trusted` assigns them unchecked.
+    The five factories are the only public way to build a spec; the
+    constructor raises InvalidTarget naming them. The P^r, hypersurface
+    and quadric factories check only their arguments: the invariants
+    they derive from them hold by arithmetic, so `_trusted` assigns
+    them unchecked. `homogeneous` and `custom` convert all their
+    arguments, then `_asserted` checks every range and assigns.
     """
 
     __slots__ = _fields = (
         "kind", "r", "e", "index", "s_bound", "t_bound", "ci_degrees"
     )
 
-    def __init__(
-        self,
+    def __init__(self, *args, **kwargs) -> None:
+        raise InvalidTarget(
+            "a target comes only from TargetSpec.projective_space, "
+            ".hypersurface, .quadric, .homogeneous or .custom"
+        )
+
+    @classmethod
+    def _asserted(
+        cls,
         kind: TargetKind,
         r: int,
-        e: int,
         index: int,
-        s_bound: int | None = None,
-        t_bound: int | None = None,
-        ci_degrees: tuple[int, ...] | None = None,
-    ) -> None:
-        if kind is not TargetKind.HOMOGENEOUS and kind is not TargetKind.CUSTOM:
-            raise InvalidTarget(
-                f"a {kind.value} target comes only from TargetSpec.{kind.name.lower()}"
-                if isinstance(kind, TargetKind) else f"unknown target kind {kind!r}"
-            )
-        r = _integer(r, "dimension r", InvalidTarget)
-        e = _integer(e, "degree e", InvalidTarget)
-        index = _integer(index, "index", InvalidTarget)
-        if s_bound is not None:
-            s_bound = _integer(s_bound, "s bound", InvalidTarget)
-        if t_bound is not None:
-            t_bound = _integer(t_bound, "t bound", InvalidTarget)
-        if ci_degrees is not None:
-            ci_degrees = tuple([
-                _integer(e_i, "complete intersection degree", InvalidTarget)
-                for e_i in ci_degrees
-            ])
-        self._assign(kind, r, e, index, s_bound, t_bound, ci_degrees)
-
-    def _assign(self, kind, r, e, index, s_bound, t_bound, ci_degrees) -> None:
-        """The range checks of an asserted kind's invariants, given as
-        ints (`ci_degrees` as a tuple or None), then the slots."""
+        s_bound: int | None,
+        t_bound: int | None,
+        ci_degrees: tuple[int, ...] | None,
+    ) -> "TargetSpec":
+        """A homogeneous or custom spec from ints (`ci_degrees` a tuple
+        or None), as `homogeneous` and `custom` convert them and as the
+        target grammar parses them: the range checks, then the slots.
+        e is always 1."""
         if r < 1:
             raise InvalidTarget(f"dimension must be >= 1, got r={r}")
-        if e < 1:
-            raise InvalidTarget(f"degree must be >= 1, got e={e}")
         if index <= 0:
             raise NonFano(
                 f"anticanonical degree {index} is not positive; "
@@ -163,29 +149,14 @@ class TargetSpec(ValueObject):
                 raise InvalidTarget("s bound cannot be smaller than t bound")
         if ci_degrees is not None and any(e_i < 1 for e_i in ci_degrees):
             raise InvalidTarget("complete intersection degrees must be >= 1")
-        self.kind = kind
-        self.r = r
-        self.e = e
-        self.index = index
-        self.s_bound = s_bound
-        self.t_bound = t_bound
-        self.ci_degrees = ci_degrees
-
-    @classmethod
-    def _asserted(
-        cls,
-        kind: TargetKind,
-        r: int,
-        index: int,
-        s_bound: int | None,
-        t_bound: int | None,
-        ci_degrees: tuple[int, ...] | None,
-    ) -> "TargetSpec":
-        """A homogeneous or custom spec from ints, as the target
-        grammar parses them: the constructor's range checks, in its
-        order and with its messages, without its conversions."""
         spec = object.__new__(cls)
-        spec._assign(kind, r, 1, index, s_bound, t_bound, ci_degrees)
+        spec.kind = kind
+        spec.r = r
+        spec.e = 1
+        spec.index = index
+        spec.s_bound = s_bound
+        spec.t_bound = t_bound
+        spec.ci_degrees = ci_degrees
         return spec
 
     @classmethod
@@ -254,13 +225,9 @@ class TargetSpec(ValueObject):
         t_bound: int | None = None,
     ) -> "TargetSpec":
         """Homogeneous space of Picard rank 1 with the given invariants."""
-        return cls(
-            TargetKind.HOMOGENEOUS,
-            r=r,
-            e=1,
-            index=index,
-            s_bound=s_bound,
-            t_bound=t_bound,
+        r, index, s_bound, t_bound = _converted(r, index, s_bound, t_bound)
+        return cls._asserted(
+            TargetKind.HOMOGENEOUS, r, index, s_bound, t_bound, None
         )
 
     @classmethod
@@ -278,14 +245,14 @@ class TargetSpec(ValueObject):
         complete intersection in projective space; the certifier can
         then use the excess-control inequality.
         """
-        return cls(
-            TargetKind.CUSTOM,
-            r=r,
-            e=1,
-            index=index,
-            s_bound=s_bound,
-            t_bound=t_bound,
-            ci_degrees=ci_degrees,
+        r, index, s_bound, t_bound = _converted(r, index, s_bound, t_bound)
+        if ci_degrees is not None:
+            ci_degrees = tuple([
+                _integer(e_i, "complete intersection degree", InvalidTarget)
+                for e_i in ci_degrees
+            ])
+        return cls._asserted(
+            TargetKind.CUSTOM, r, index, s_bound, t_bound, ci_degrees
         )
 
     def describe(self) -> str:
@@ -299,6 +266,17 @@ class TargetSpec(ValueObject):
         if self.kind is TargetKind.HOMOGENEOUS:
             return f"homogeneous space, dim {self.r}, index {self.index}"
         return f"custom target, dim {self.r}, index {self.index}"
+
+
+def _converted(r, index, s_bound, t_bound) -> tuple:
+    """An asserted kind's invariants as ints, each bound kept as None
+    when not given; all converted before `_asserted` checks a range."""
+    return (
+        _integer(r, "dimension r", InvalidTarget),
+        _integer(index, "index", InvalidTarget),
+        None if s_bound is None else _integer(s_bound, "s bound", InvalidTarget),
+        None if t_bound is None else _integer(t_bound, "t bound", InvalidTarget),
+    )
 
 
 class TevProblem(ValueObject):

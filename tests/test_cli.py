@@ -1652,6 +1652,67 @@ def test_an_interrupt_survives_a_failed_write_of_its_batch(monkeypatch, tmp_path
     assert capsys.readouterr().err == ""
 
 
+@pytest.mark.parametrize("argv, step, cells", [
+    (["vtev", "--target", "p:\u00e9", "--g", "1", "--d", "2"], 0.0, 1),
+    (["vtev", "--target", "p:\u00e9", "--sweep", "--g-max", "1", "--d-max", "2"], 0.0, 4),
+    (["vtev", "--target", "p:\u00e9", "--sweep", "--g-max", "1", "--d-max", "2"],
+     cli._BATCH_SECONDS, 1),
+], ids=["point", "sweep-final-write", "sweep-batch-write"])
+def test_text_the_stream_cannot_encode_is_a_failed_write(monkeypatch, tmp_path, capsys,
+                                                        argv, step, cells):
+    # a table record holds the target text as given; an ASCII stdout
+    # cannot spell it, which exits 1 with one line, like a full disk,
+    # at the final write or, with a record per batch, at the first
+    text = io.StringIO()
+    with contextlib.redirect_stdout(text):
+        main(argv)
+    position = text.getvalue().index("\u00e9")
+    calls = []
+
+    def counted(target, g, d):
+        calls.append((g, d))
+        return run_vtev(target, g, d)
+
+    monkeypatch.setattr(cli, "monotonic", _Clock(step))
+    monkeypatch.setattr(cli, "run_vtev", counted)
+    with open(tmp_path / "stdout", "wb") as raw:
+        stdout = io.TextIOWrapper(raw, encoding="ascii")
+        monkeypatch.setattr(sys, "stdout", stdout)
+        code = main(argv)
+        stdout.close()
+    assert code == 1
+    assert len(calls) == cells
+    assert capsys.readouterr().err == (
+        "tevdeg: error: cannot write output: 'ascii' codec can't encode "
+        f"character '\\xe9' in position {position}: "
+        "ordinal not in range(128)\n"
+    )
+    assert (tmp_path / "stdout").read_bytes() == b""
+
+
+@pytest.mark.parametrize("encoding, json_flag", [
+    ("ascii", ["--json"]), ("utf-8", ["--json"]), ("utf-8", []),
+], ids=["ascii-json", "utf-8-json", "utf-8-table"])
+@pytest.mark.parametrize("argv, code", [
+    (["vtev", "--target", "p:\u00e9", "--g", "1", "--d", "2"], 2),
+    (["vtev", "--target", "p:\u00e9", "--sweep", "--g-max", "1", "--d-max", "2"], 0),
+], ids=["point", "sweep"])
+def test_a_stream_that_encodes_the_text_is_written_as_before(monkeypatch, tmp_path, capsys,
+                                                            encoding, json_flag, argv, code):
+    # JSON escapes the character, and UTF-8 spells it
+    argv = [*argv, *json_flag]
+    expected = io.StringIO()
+    with contextlib.redirect_stdout(expected):
+        assert main(argv) == code
+    with open(tmp_path / "stdout", "wb") as raw:
+        stdout = io.TextIOWrapper(raw, encoding=encoding)
+        monkeypatch.setattr(sys, "stdout", stdout)
+        assert main(argv) == code
+        stdout.close()
+    assert (tmp_path / "stdout").read_bytes() == expected.getvalue().encode(encoding)
+    assert capsys.readouterr().err == ""
+
+
 def test_a_pool_that_fails_to_start_is_no_write_failure(monkeypatch, capsys):
     def no_pool(*args, **kwargs):
         raise OSError(24, "Too many open files")

@@ -103,11 +103,11 @@ def test_dispatch_covers_all_formula_kinds():
 
 
 def test_derived_kinds_come_only_from_their_factories():
-    # the constructor refuses every spec of a kind with a closed form,
-    # so no spec that reaches `vtev` carries an e, r or index its
-    # formula does not fit: not a degree-2 "hypersurface", a quadric
-    # surface, a cubic 7-fold of index 100 or 7 (it has 6), nor P^2
-    # with index 5. A consistent P^2 is refused too.
+    # the constructor refuses every spec, so no spec that reaches `vtev`
+    # carries an e, r or index its formula does not fit: not a degree-2
+    # "hypersurface", a quadric surface, a cubic 7-fold of index 100 or
+    # 7 (it has 6), nor P^2 with index 5. Consistent specs of every
+    # kind are refused too, and so is a kind that is no TargetKind.
     cases = [
         (TargetKind.HYPERSURFACE, 5, 2, 5),
         (TargetKind.QUADRIC, 2, 2, 2),
@@ -115,29 +115,40 @@ def test_derived_kinds_come_only_from_their_factories():
         (TargetKind.HYPERSURFACE, 7, 3, 7),
         (TargetKind.PROJECTIVE_SPACE, 2, 1, 5),
         (TargetKind.PROJECTIVE_SPACE, 2, 1, 3),
+        (TargetKind.QUADRIC, 5, 2, 5),
+        (TargetKind.HOMOGENEOUS, 6, 1, 4),
+        (TargetKind.CUSTOM, 5, 1, 2),
+        ("custom", 3, 1, 2),
     ]
+    # each kind's factory, with arguments it accepts
     factories = {
-        TargetKind.PROJECTIVE_SPACE: "projective_space",
-        TargetKind.HYPERSURFACE: "hypersurface",
-        TargetKind.QUADRIC: "quadric",
+        TargetKind.PROJECTIVE_SPACE: ("projective_space", (2,)),
+        TargetKind.HYPERSURFACE: ("hypersurface", (3, 7)),
+        TargetKind.QUADRIC: ("quadric", (5,)),
+        TargetKind.HOMOGENEOUS: ("homogeneous", (6, 4)),
+        TargetKind.CUSTOM: ("custom", (5, 2)),
     }
+    message = (
+        "a target comes only from TargetSpec.projective_space, "
+        ".hypersurface, .quadric, .homogeneous or .custom"
+    )
     for kind, r, e, index in cases:
         for bounds in ({}, {"s_bound": index, "t_bound": index}):
-            with pytest.raises(InvalidTarget) as exc:
-                TargetSpec(kind, r=r, e=e, index=index, **bounds)
-            assert str(exc.value) == (
-                f"a {kind.value} target comes only from "
-                f"TargetSpec.{factories[kind]}"
-            )
-    asserted = {TargetKind.HOMOGENEOUS, TargetKind.CUSTOM}
-    assert set(factories) == set(TargetKind) - asserted
-    assert all(callable(getattr(TargetSpec, name)) for name in factories.values())
-
-
-def test_constructor_refuses_a_kind_that_is_not_a_target_kind():
+            calls = [
+                lambda: TargetSpec(kind, r=r, e=e, index=index, **bounds),
+                lambda: TargetSpec(kind, r, e, index, *bounds.values()),
+            ]
+            for call in calls:
+                with pytest.raises(InvalidTarget) as exc:
+                    call()
+                assert str(exc.value) == message, (kind, bounds)
     with pytest.raises(InvalidTarget) as exc:
-        TargetSpec("custom", r=3, e=1, index=2)
-    assert str(exc.value) == "unknown target kind 'custom'"
+        TargetSpec()
+    assert str(exc.value) == message
+    assert set(factories) == set(TargetKind)
+    for kind, (name, args) in factories.items():
+        assert f".{name}" in message
+        assert getattr(TargetSpec, name)(*args).kind is kind
 
 
 def test_hypersurface_exponent_is_at_least_one_on_every_cell():

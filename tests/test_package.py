@@ -66,18 +66,41 @@ def test_readme_library_block_runs_as_documented():
     assert shown == [10368, ((2, 6), (6, 1), (3, 3)), 6, 27, 81, 8, 8, "NotEnumerative"]
 
 
+def _is_private(name):
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
 def test_sources_import_no_private_name_of_another_layer():
-    # a layer's private names stay its own; `arith._integer` is the one
-    # integer check every public door shares
-    allowed = {("arith", "_integer")}
+    # a layer's private names stay its own, whether imported (`from
+    # .arith import _integer`) or reached as an attribute of a name
+    # imported from that layer (`TargetSpec._asserted`); dunders are
+    # public. `arith._integer` is the one integer check every public
+    # door shares, and `_asserted` takes the target grammar's parsed
+    # ints without converting them again
+    allowed = {("arith", "_integer"), ("targets", "TargetSpec._asserted")}
     for path in sorted((ROOT / "src" / "tevdeg").glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
+        imported = {}  # local name -> (layer, dotted prefix of its attributes)
         for node in ast.walk(tree):
             if isinstance(node, ast.ImportFrom) and node.level > 0:
                 for alias in node.names:
                     name = alias.name
-                    if name.startswith("_") and (node.module, name) not in allowed:
+                    if _is_private(name) and (node.module, name) not in allowed:
                         raise AssertionError((path.name, node.lineno, node.module, name))
+                    if node.module is None:  # `from . import errors`
+                        imported[alias.asname or name] = (name, "")
+                    else:
+                        imported[alias.asname or name] = (node.module, f"{name}.")
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and node.value.id in imported
+                and _is_private(node.attr)
+            ):
+                layer, prefix = imported[node.value.id]
+                if (layer, prefix + node.attr) not in allowed:
+                    raise AssertionError((path.name, node.lineno, layer, prefix + node.attr))
 
 
 def test_sources_import_only_the_standard_library():

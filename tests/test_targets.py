@@ -508,12 +508,6 @@ def test_derived_targets_equal_the_validated_construction():
                     assert [type(v) for v in fields[1:6]] == [int] * 5, (e, r)
 
 
-def test_field_built_target_rejects_degree_below_one():
-    with pytest.raises(InvalidTarget) as exc:
-        TargetSpec(TargetKind.CUSTOM, r=3, e=0, index=2)
-    assert str(exc.value) == "degree must be >= 1, got e=0"
-
-
 def test_projective_space_invariants():
     target = TargetSpec.projective_space(4)
     assert target.kind is TargetKind.PROJECTIVE_SPACE
@@ -715,7 +709,12 @@ def test_value_class_repr_is_the_dataclass_repr(build, text):
 @pytest.mark.parametrize("build, text", VALUE_REPRS, ids=VALUE_IDS)
 def test_value_classes_are_equal_by_field_and_unhashable(build, text):
     first, second = build(), build()
-    fields = list(inspect.signature(type(first)).parameters)
+    fields = type(first)._fields
+    assert len(fields) >= 3
+    if isinstance(first, TargetSpec):
+        assert fields == (
+            "kind", "r", "e", "index", "s_bound", "t_bound", "ci_degrees"
+        )
     assert first is not second
     assert first == second
     assert not first != second
