@@ -16,4 +16,4 @@ from .quantum import *
 from .schubert import *
 from .targets import *
 
-__version__ = "0.4.0"
+__version__ = "0.5.0"

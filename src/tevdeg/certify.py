@@ -316,8 +316,9 @@ def _certify_projective(problem: TevProblem) -> tuple[Status, str, tuple[Check, 
     threshold = _check("d >= r(g + 1)", d, ">=", r * (g + 1))
     if threshold.holds:
         return Status.ENUMERATIVE, CITE_PR_THRESHOLD, (threshold,)
-    # n = 1 - g + d(r+1)/r is r + 2 exactly at d = r + gr/(r+1)
-    if g > 0 and problem.n == r + 2:
+    # n = 1 - g + d(r+1)/r is r + 2 exactly at d = r + gr/(r+1), which
+    # meets the threshold at g = 0 and is no integer at g = 1
+    if problem.n == r + 2:
         minimal = _check("d == r + gr/(r+1)", d, "==", r + g * r // (r + 1))
         return Status.NOT_ENUMERATIVE, CITE_PR_CASTELNUOVO, (threshold, minimal)
     return Status.UNKNOWN, CITE_NONE, (threshold,)

@@ -73,7 +73,7 @@ import json
 import os
 import sys
 from collections.abc import Iterator
-from functools import partial
+from functools import lru_cache, partial
 from time import monotonic
 
 from . import errors
@@ -88,13 +88,16 @@ from .closed_forms import value_bits, vtev
 from .errors import TargetParseError, TevError, WellPosednessError
 from .quantum import PowerTable, tqft_vtev
 from .schubert import tev_p1_binomial, tev_p1_schubert
-from .targets import TargetKind, TargetSpec, ValueObject, degree_step, make_problem
+from .targets import TargetSpec, ValueObject, degree_step, make_problem
 
 __all__ = ["RunRecord", "main", "parse_target"]
 
 
+@lru_cache(maxsize=256)
 def parse_target(text: str) -> TargetSpec:
-    """Parse the target grammar into a TargetSpec."""
+    """Parse the target grammar into a TargetSpec. The last 256 texts
+    parsed keep their specs, which are immutable, so a sweep builds its
+    target once; a text that fails to parse is not kept and raises anew."""
     parts = text.split(":")
     head, args = parts[0], parts[1:]
     if head == "p" and len(args) == 1:
@@ -103,13 +106,11 @@ def parse_target(text: str) -> TargetSpec:
         return TargetSpec.hypersurface(_int(args[0]), _int(args[1]))
     if head == "quadric" and len(args) == 1:
         return TargetSpec.quadric(_int(args[0]))
-    # gp: and custom: fields are ints once parsed, so the spec takes
-    # them without converting each a second time
     if head == "gp" and len(args) in (2, 4):
         r, index = _int(args[0]), _int(args[1])
         s = _int(args[2]) if len(args) == 4 else None
         t = _int(args[3]) if len(args) == 4 else None
-        return TargetSpec._asserted(TargetKind.HOMOGENEOUS, r, index, s, t, None)
+        return TargetSpec.homogeneous(r, index, s, t)
     if head == "custom" and len(args) in (2, 4, 5):
         r, index = _int(args[0]), _int(args[1])
         s = _int(args[2]) if len(args) >= 4 else None
@@ -117,7 +118,7 @@ def parse_target(text: str) -> TargetSpec:
         degrees = None
         if len(args) == 5:
             degrees = tuple(map(_int, args[4].split(",")))
-        return TargetSpec._asserted(TargetKind.CUSTOM, r, index, s, t, degrees)
+        return TargetSpec.custom(r, index, s, t, degrees)
     raise TargetParseError(f"unrecognized target description {text!r}")
 
 

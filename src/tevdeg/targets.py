@@ -25,10 +25,11 @@ range-checks its own arguments, then builds the spec from the
 invariants it derived (index, s and t) without checking them again.
 So the closed forms only ever see an index and degree that fit their
 kind. A homogeneous or custom spec comes only from `homogeneous` or
-`custom`, which convert every argument before any range check and
-then build through `_asserted`, the one copy of those range checks;
-the target grammar, whose fields are ints once parsed, calls
-`_asserted` directly.
+`custom`, which build through `_asserted`, the one copy of their
+conversions and range checks: every argument is converted before any
+range is checked. A spec is immutable: assigning to or deleting any
+of its fields raises AttributeError, so what its factory checked
+stays true.
 """
 
 from __future__ import annotations
@@ -68,10 +69,11 @@ class ValueObject:
     """Base of the value classes: `==` by field and a field-by-field
     repr, over the names a subclass lists in `_fields`.
 
-    Instances are treated as immutable and compare by value, so they
-    are unhashable. A plain base rather than `dataclasses`, whose import
-    chain (`inspect`, `ast`, `dis`) and per-class code generation cost
-    every CLI start far more than a single point's computation.
+    Instances are treated as immutable (a TargetSpec is frozen) and
+    compare by value, so they are unhashable. A plain base rather than
+    `dataclasses`, whose import chain (`inspect`, `ast`, `dis`) and
+    per-class code generation cost every CLI start far more than a
+    single point's computation.
     """
 
     __slots__ = ()
@@ -98,15 +100,17 @@ class TargetSpec(ValueObject):
     pairings over curve classes with surjective one-point (resp.
     two-point) evaluation; for homogeneous and custom targets they are
     recorded as asserted by the caller, never derived. A non-integer
-    invariant raises InvalidTarget rather than being truncated. Treated
-    as immutable: nothing changes a spec after its factory.
+    invariant raises InvalidTarget rather than being truncated.
 
+    Immutable: assigning to or deleting a field raises AttributeError.
     The five factories are the only public way to build a spec; the
     constructor raises InvalidTarget naming them. The P^r, hypersurface
     and quadric factories check only their arguments: the invariants
-    they derive from them hold by arithmetic, so `_trusted` assigns
-    them unchecked. `homogeneous` and `custom` convert all their
-    arguments, then `_asserted` checks every range and assigns.
+    they derive from them hold by arithmetic, so they go to `_new`
+    unchecked. `homogeneous` and `custom` build through `_asserted`,
+    which converts all their arguments, then checks every range. `_new`
+    alone fills the slots, and pickle and `copy` rebuild a spec through
+    it.
     """
 
     __slots__ = _fields = (
@@ -119,20 +123,46 @@ class TargetSpec(ValueObject):
             ".hypersurface, .quadric, .homogeneous or .custom"
         )
 
+    def __setattr__(self, name, value):
+        raise AttributeError(f"TargetSpec is immutable; cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"TargetSpec is immutable; cannot delete {name!r}")
+
+    def __reduce__(self):
+        return self._new, tuple([getattr(self, name) for name in self._fields])
+
     @classmethod
-    def _asserted(
-        cls,
-        kind: TargetKind,
-        r: int,
-        index: int,
-        s_bound: int | None,
-        t_bound: int | None,
-        ci_degrees: tuple[int, ...] | None,
-    ) -> "TargetSpec":
-        """A homogeneous or custom spec from ints (`ci_degrees` a tuple
-        or None), as `homogeneous` and `custom` convert them and as the
-        target grammar parses them: the range checks, then the slots.
-        e is always 1."""
+    def _new(cls, kind, r, e, index, s_bound, t_bound, ci_degrees) -> "TargetSpec":
+        """The spec with these seven fields, unchecked: the one place
+        that fills the slots, through their descriptors' own setters,
+        which bypass `__setattr__`."""
+        spec = object.__new__(cls)
+        _set_kind(spec, kind)
+        _set_r(spec, r)
+        _set_e(spec, e)
+        _set_index(spec, index)
+        _set_s_bound(spec, s_bound)
+        _set_t_bound(spec, t_bound)
+        _set_ci_degrees(spec, ci_degrees)
+        return spec
+
+    @classmethod
+    def _asserted(cls, kind, r, index, s_bound, t_bound, ci_degrees) -> "TargetSpec":
+        """A homogeneous or custom spec: every argument converted (each
+        bound kept as None when not given, `ci_degrees` made a tuple),
+        then every range checked, then `_new`. e is always 1."""
+        r = _integer(r, "dimension r", InvalidTarget)
+        index = _integer(index, "index", InvalidTarget)
+        if s_bound is not None:
+            s_bound = _integer(s_bound, "s bound", InvalidTarget)
+        if t_bound is not None:
+            t_bound = _integer(t_bound, "t bound", InvalidTarget)
+        if ci_degrees is not None:
+            ci_degrees = tuple([
+                _integer(e_i, "complete intersection degree", InvalidTarget)
+                for e_i in ci_degrees
+            ])
         if r < 1:
             raise InvalidTarget(f"dimension must be >= 1, got r={r}")
         if index <= 0:
@@ -149,27 +179,7 @@ class TargetSpec(ValueObject):
                 raise InvalidTarget("s bound cannot be smaller than t bound")
         if ci_degrees is not None and any(e_i < 1 for e_i in ci_degrees):
             raise InvalidTarget("complete intersection degrees must be >= 1")
-        spec = object.__new__(cls)
-        spec.kind = kind
-        spec.r = r
-        spec.e = 1
-        spec.index = index
-        spec.s_bound = s_bound
-        spec.t_bound = t_bound
-        spec.ci_degrees = ci_degrees
-        return spec
-
-    @classmethod
-    def _trusted(cls, kind: TargetKind, r: int, e: int, index: int) -> "TargetSpec":
-        """A spec from invariants a factory derived: ints with r, e and
-        index >= 1, and s = t = index. Assigns the seven slots unchecked."""
-        spec = object.__new__(cls)
-        spec.kind = kind
-        spec.r = r
-        spec.e = e
-        spec.index = spec.s_bound = spec.t_bound = index
-        spec.ci_degrees = None
-        return spec
+        return cls._new(kind, r, 1, index, s_bound, t_bound, ci_degrees)
 
     @classmethod
     def projective_space(cls, r: int) -> "TargetSpec":
@@ -177,7 +187,7 @@ class TargetSpec(ValueObject):
         r = _integer(r, "dimension r", InvalidTarget)
         if r < 1:
             raise InvalidTarget(f"projective space needs r >= 1, got {r}")
-        return cls._trusted(TargetKind.PROJECTIVE_SPACE, r, 1, r + 1)
+        return cls._new(TargetKind.PROJECTIVE_SPACE, r, 1, r + 1, r + 1, r + 1, None)
 
     @classmethod
     def hypersurface(cls, e: int, r: int) -> "TargetSpec":
@@ -204,7 +214,7 @@ class TargetSpec(ValueObject):
                 f"degree {e} hypersurface of dimension {r} has "
                 f"anticanonical degree {index} <= 0"
             )
-        return cls._trusted(TargetKind.HYPERSURFACE, r, e, index)
+        return cls._new(TargetKind.HYPERSURFACE, r, e, index, index, index, None)
 
     @classmethod
     def quadric(cls, r: int) -> "TargetSpec":
@@ -214,7 +224,7 @@ class TargetSpec(ValueObject):
             raise InvalidTarget(
                 f"quadric targets need dimension >= 3, got {r}"
             )
-        return cls._trusted(TargetKind.QUADRIC, r, 2, r)
+        return cls._new(TargetKind.QUADRIC, r, 2, r, r, r, None)
 
     @classmethod
     def homogeneous(
@@ -225,7 +235,6 @@ class TargetSpec(ValueObject):
         t_bound: int | None = None,
     ) -> "TargetSpec":
         """Homogeneous space of Picard rank 1 with the given invariants."""
-        r, index, s_bound, t_bound = _converted(r, index, s_bound, t_bound)
         return cls._asserted(
             TargetKind.HOMOGENEOUS, r, index, s_bound, t_bound, None
         )
@@ -245,12 +254,6 @@ class TargetSpec(ValueObject):
         complete intersection in projective space; the certifier can
         then use the excess-control inequality.
         """
-        r, index, s_bound, t_bound = _converted(r, index, s_bound, t_bound)
-        if ci_degrees is not None:
-            ci_degrees = tuple([
-                _integer(e_i, "complete intersection degree", InvalidTarget)
-                for e_i in ci_degrees
-            ])
         return cls._asserted(
             TargetKind.CUSTOM, r, index, s_bound, t_bound, ci_degrees
         )
@@ -268,15 +271,11 @@ class TargetSpec(ValueObject):
         return f"custom target, dim {self.r}, index {self.index}"
 
 
-def _converted(r, index, s_bound, t_bound) -> tuple:
-    """An asserted kind's invariants as ints, each bound kept as None
-    when not given; all converted before `_asserted` checks a range."""
-    return (
-        _integer(r, "dimension r", InvalidTarget),
-        _integer(index, "index", InvalidTarget),
-        None if s_bound is None else _integer(s_bound, "s bound", InvalidTarget),
-        None if t_bound is None else _integer(t_bound, "t bound", InvalidTarget),
-    )
+# the slot descriptors' setters, which `_new` calls directly: they skip
+# the refusing `__setattr__` at less cost than `object.__setattr__`
+_set_kind, _set_r, _set_e, _set_index, _set_s_bound, _set_t_bound, _set_ci_degrees = [
+    vars(TargetSpec)[name].__set__ for name in TargetSpec._fields
+]
 
 
 class TevProblem(ValueObject):
@@ -284,18 +283,17 @@ class TevProblem(ValueObject):
     marking count n = 1 - g + d*I/r that dimensions force.
 
     The constructor is the one well-posedness decision, in integers and
-    in this order: NonFano unless the index is positive (a spec's fields
-    can be reassigned), DomainError unless g >= 0 and d >= 1 are
-    integers, NonIntegerN (spelling n as a reduced fraction), NegativeN
-    when n < 0, and UnstableRange unless 2g - 2 + n > 0. g, d and n are
-    stored as ints. Treated as immutable.
+    in this order: DomainError unless g >= 0 and d >= 1 are integers,
+    NonIntegerN (spelling n as a reduced fraction), NegativeN when
+    n < 0, and UnstableRange unless 2g - 2 + n > 0. The target's index
+    is positive, as its factory checked and its immutability keeps.
+    g, d and n are stored as ints. Treated as immutable, but not
+    frozen: a problem is built per cell, and nothing shares one.
     """
 
     __slots__ = _fields = ("target", "g", "d", "n")
 
     def __init__(self, target: TargetSpec, g: int, d: int) -> None:
-        if target.index <= 0:
-            raise NonFano(f"target has anticanonical degree {target.index} <= 0")
         self.target = target
         self.g = g = _check_genus(g)
         self.d = d = _check_degree(d)

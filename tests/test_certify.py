@@ -14,6 +14,7 @@ import pytest
 import tevdeg
 from tevdeg import (
     Certificate,
+    DomainError,
     HypothesisViolation,
     NonFano,
     Status,
@@ -43,8 +44,12 @@ def test_condition_ii():
     assert check_condition_ii(2, 2, 3) is True
     assert check_condition_ii(1, 1, 2) is False
     assert check_condition_ii(6, 1, 5) is True
+    # r = 1, the least dimension: s + t = 2 meets r + 1 exactly
+    assert check_condition_ii(1, 1, 1) is True
     with pytest.raises(ValueError):
         check_condition_ii(1, 2, 3)
+    with pytest.raises(DomainError, match="need r >= 1, got 0"):
+        check_condition_ii(1, 1, 0)
 
 
 def test_complete_intersection_inequality():
@@ -55,6 +60,10 @@ def test_complete_intersection_inequality():
     assert check_complete_intersection(1, 10, 9, [5]) is True
     with pytest.raises(ValueError):
         check_complete_intersection(1, 1, 1, [0])
+    # a degree of 1 (a hyperplane) is the least allowed: 6 > (7 - 6) * 3
+    assert check_complete_intersection(6, 6, 7, [1, 2]) is True
+    with pytest.raises(DomainError, match=r"degrees must be >= 1, got \(0, 2\)"):
+        check_complete_intersection(6, 6, 7, [0, 2])
 
 
 def test_star2_genus0_hypersurface_criterion():
@@ -249,6 +258,9 @@ def test_very_free_input_validation():
         very_free_search(3, 8, 6)
     with pytest.raises(NonFano):
         very_free_search(5, 3, 7)
+    # r = 1 passes the dimension check, so the index r + 2 - e = 0 decides
+    with pytest.raises(NonFano, match="degree 3 hypersurface of dimension 1 is not Fano"):
+        very_free_search(3, 1, 5)
 
 
 def test_very_free_search_finds_the_least_marking_count():

@@ -69,6 +69,34 @@ def test_parse_target_grammar():
     assert parse_target("p:007") == parse_target("p:7")
     with pytest.raises(InvalidTarget, match="needs r >= 1, got -2"):
         parse_target("p:-2")
+    # a complete-intersection degree of 1 is the least allowed
+    assert parse_target("custom:5:2:3:3:1,2").ci_degrees == (1, 2)
+    with pytest.raises(InvalidTarget, match="degrees must be >= 1"):
+        parse_target("custom:5:2:3:3:0,2")
+
+
+def test_parse_target_keeps_the_last_256_texts():
+    first = parse_target("quadric:9")
+    assert parse_target("quadric:9") is first
+    # 255 other texts later the spec is still kept; one more drops it
+    for r in range(1000, 1255):
+        parse_target(f"p:{r}")
+    assert parse_target("quadric:9") is first
+    for r in range(2000, 2256):
+        parse_target(f"p:{r}")
+    again = parse_target("quadric:9")
+    assert again is not first and again == first
+
+
+@pytest.mark.parametrize("text", ["p:x", "quadric:2", "custom:5:0", "gp:6:4:3:4"])
+def test_parse_target_raises_afresh_for_bad_text(text):
+    with pytest.raises(TevError) as first:
+        parse_target(text)
+    with pytest.raises(TevError) as second:
+        parse_target(text)
+    assert second.value is not first.value
+    assert type(second.value) is type(first.value)
+    assert str(second.value) == str(first.value)
 
 
 def _outcome(build):
@@ -80,8 +108,7 @@ def _outcome(build):
 
 
 def test_asserted_targets_parse_as_their_factories_build():
-    # the parser hands its ints to the spec unconverted; each gp: and
-    # custom: text must still give the factory's spec, or its error
+    # each gp: and custom: text gives the factory's spec, or its error
     fields = range(-1, 7)
     degree_lists = [None, (0,), (0, 2), (3, 0), (2, 0, 3), (2, 3)]
     checked = 0

@@ -73,11 +73,10 @@ def _is_private(name):
 def test_sources_import_no_private_name_of_another_layer():
     # a layer's private names stay its own, whether imported (`from
     # .arith import _integer`) or reached as an attribute of a name
-    # imported from that layer (`TargetSpec._asserted`); dunders are
+    # imported from that layer (`TargetSpec._new`); dunders are
     # public. `arith._integer` is the one integer check every public
-    # door shares, and `_asserted` takes the target grammar's parsed
-    # ints without converting them again
-    allowed = {("arith", "_integer"), ("targets", "TargetSpec._asserted")}
+    # door shares
+    allowed = {("arith", "_integer")}
     for path in sorted((ROOT / "src" / "tevdeg").glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
         imported = {}  # local name -> (layer, dotted prefix of its attributes)

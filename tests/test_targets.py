@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import inspect
 import pickle
@@ -42,7 +43,7 @@ from tevdeg import (
     very_free_search,
 )
 from tevdeg.arith import _integer
-from tevdeg.cli import RunRecord, run_vtev
+from tevdeg.cli import RunRecord, parse_target, run_vtev
 from tevdeg.targets import degree_step
 
 
@@ -562,8 +563,11 @@ def test_homogeneous_records_asserted_bounds():
 def test_custom_records_ci_degrees():
     target = TargetSpec.custom(7, 6, s_bound=6, t_bound=6, ci_degrees=(3,))
     assert target.ci_degrees == (3,)
-    with pytest.raises(InvalidTarget):
-        TargetSpec.custom(7, 6, ci_degrees=(0,))
+    # a degree of 1 (a hyperplane) is the least allowed
+    assert TargetSpec.custom(5, 2, 3, 3, (1, 2)).ci_degrees == (1, 2)
+    for degrees in ((0,), (0, 2), (1, 0)):
+        with pytest.raises(InvalidTarget, match="degrees must be >= 1"):
+            TargetSpec.custom(7, 6, ci_degrees=degrees)
 
 
 @pytest.mark.parametrize("build, message", [
@@ -579,8 +583,17 @@ def test_asserted_kinds_convert_every_argument_before_any_range_check(build, mes
 
 
 def test_describe_is_human_readable():
-    assert "P^3" in TargetSpec.projective_space(3).describe()
-    assert "hypersurface" in TargetSpec.hypersurface(4, 9).describe()
+    # the exact text of every kind; a hypersurface of dimension r lies
+    # in P^(r+1)
+    for target, text in [
+        (TargetSpec.projective_space(3), "P^3"),
+        (TargetSpec.hypersurface(3, 7), "degree-3 hypersurface in P^8"),
+        (TargetSpec.hypersurface(4, 9), "degree-4 hypersurface in P^10"),
+        (TargetSpec.quadric(5), "quadric of dimension 5"),
+        (TargetSpec.homogeneous(6, 4, 5, 4), "homogeneous space, dim 6, index 4"),
+        (TargetSpec.custom(5, 2, 3, 3, (2, 3)), "custom target, dim 5, index 2"),
+    ]:
+        assert target.describe() == text
 
 
 def _public_callables():
@@ -723,10 +736,16 @@ def test_value_classes_are_equal_by_field_and_unhashable(build, text):
     assert first.__eq__(object()) is NotImplemented
     with pytest.raises(TypeError, match="unhashable"):
         hash(first)
-    # a change to any one field breaks equality
-    for name in fields:
-        changed = build()
-        setattr(changed, name, ("changed",))
+    # a change to any one field breaks equality; a spec is immutable, so
+    # its changed copies are rebuilt as pickle rebuilds it
+    for i, name in enumerate(fields):
+        if isinstance(first, TargetSpec):
+            rebuild, values = first.__reduce__()
+            changed = rebuild(*values[:i], ("changed",), *values[i + 1:])
+        else:
+            changed = build()
+            setattr(changed, name, ("changed",))
+        assert getattr(changed, name) == ("changed",)
         assert first != changed, name
 
 
@@ -738,6 +757,66 @@ def test_value_classes_survive_pickle(build, text):
     assert type(copy) is type(value)
     assert copy == value
     assert repr(copy) == text
+
+
+# a spec from each factory, each normalization, and the parser
+FROZEN_SPECS = {
+    "p:2": lambda: TargetSpec.projective_space(2),
+    "hyp:3:7": lambda: TargetSpec.hypersurface(3, 7),
+    "hyp:1:4": lambda: TargetSpec.hypersurface(1, 4),
+    "hyp:2:5": lambda: TargetSpec.hypersurface(2, 5),
+    "quadric:5": lambda: TargetSpec.quadric(5),
+    "gp:6:4:5:4": lambda: TargetSpec.homogeneous(6, 4, 5, 4),
+    "gp:6:4": lambda: TargetSpec.homogeneous(6, 4),
+    "custom:5:2:3:3:2,3": lambda: TargetSpec.custom(5, 2, 3, 3, (2, 3)),
+    "custom:5:2": lambda: TargetSpec.custom(5, 2),
+}
+
+
+@pytest.mark.parametrize("source", ["factory", "parser"])
+@pytest.mark.parametrize("text", FROZEN_SPECS)
+def test_every_field_of_a_spec_refuses_assignment_and_deletion(text, source):
+    spec = FROZEN_SPECS[text]() if source == "factory" else parse_target(text)
+    before = repr(spec)
+    for name in TargetSpec._fields + ("extra",):
+        with pytest.raises(AttributeError, match="TargetSpec is immutable"):
+            setattr(spec, name, 7)
+        with pytest.raises(AttributeError, match="TargetSpec is immutable"):
+            delattr(spec, name)
+    assert repr(spec) == before
+    assert spec == FROZEN_SPECS[text]()
+
+
+def test_reassigning_an_index_fails_at_the_assignment():
+    # each would print a wrong number if the assignment went through
+    cubic = TargetSpec.hypersurface(3, 7)
+    with pytest.raises(AttributeError):
+        cubic.index = 7
+    assert tevdeg.vtev(make_problem(cubic, 1, 7)).value == 10368
+    plane = TargetSpec.projective_space(2)
+    with pytest.raises(AttributeError):
+        plane.index = 5
+    assert plane.index == 3
+    assert tevdeg.certify_target(plane, 1, 4) == tevdeg.certify_target(
+        TargetSpec.projective_space(2), 1, 4
+    )
+
+
+@pytest.mark.parametrize("text", FROZEN_SPECS)
+def test_copies_of_a_spec_are_equal_and_frozen(text):
+    spec = FROZEN_SPECS[text]()
+    copies = [
+        copy.copy(spec),
+        copy.deepcopy(spec),
+        *(pickle.loads(pickle.dumps(spec, protocol)) for protocol in range(
+            pickle.HIGHEST_PROTOCOL + 1)),
+    ]
+    for duplicate in copies:
+        assert type(duplicate) is TargetSpec
+        assert duplicate == spec
+        assert repr(duplicate) == repr(spec)
+        with pytest.raises(AttributeError):
+            duplicate.r = 1
 
 
 def test_run_record_defaults_are_fresh_per_instance():
