@@ -1,8 +1,8 @@
 """Exact integer combinatorics: binomials, factorials, p-adic valuations.
 
 Python integers are arbitrary precision, so they serve directly as the
-exact scalar type, and `fractions.Fraction` plays the role of the
-reduced rational where one is needed. No floating point is used
+exact scalar type. Every quotient the package forms is exact in
+integers, so it needs no rational type, and no floating point is used
 anywhere in this package.
 """
 

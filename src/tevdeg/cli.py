@@ -18,14 +18,14 @@ emits one record per computation to stdout or `--out`. Records, each
 with the separator before it, go out in batches, one write per batch:
 a batch is written once it holds `io.DEFAULT_BUFFER_SIZE` (8192)
 characters, or once a record arrives 20 ms or more after the last
-write, and the rest goes out with the final newline. So a sweep (or
-`qh-check --per-case`) holds at most one batch and one record, a
-record waits at most 20 ms or one further cell, a cell of 20 ms or
-more has its record written as it finishes, and a run interrupted by
-an exception (Ctrl-C, or a failing cell) writes its pending batch
-before the exception propagates, so `--out` keeps every finished
-record. The clock decides only where the writes split, never the
-bytes.
+write, and the rest goes out with the final newline. So a serial
+sweep (or `qh-check --per-case`) holds at most one batch and one
+record, a record waits at most 20 ms or one further cell, a cell of
+20 ms or more has its record written as it finishes, and a run
+interrupted by an exception (Ctrl-C, or a failing cell) writes its
+pending batch before the exception propagates, so `--out` keeps every
+finished record. The clock decides only where the writes split, never
+the bytes.
 `--json` switches to newline-delimited JSON objects with every number
 serialized as a decimal string, so arbitrarily large values survive
 any JSON parser. `main` lifts Python's 4300-digit limit on int-to-str
@@ -42,9 +42,12 @@ uses the pool. A closed-form sweep (`vtev`, `certify`, `tev-p1
 bit length, `closed_forms.value_bits` (P^1's for the line), reaches
 `POOL_MIN_SIZE`: below that a cell costs less than the pool's
 start-up. A sweep of a target with no closed form (`gp:`, `custom:`)
-computes no value, so it never pools. The pool (and multiprocessing
-with it) is imported only when a sweep uses it, so single points and
-serial sweeps start faster.
+computes no value, so it never pools. A pooled sweep submits all its
+chunks, of at most 512 cells, at once and computes ahead of its
+reader: it holds its grid's cells and its finished but unwritten
+records, and its first record waits for its first chunk. The pool
+(and multiprocessing with it) is imported only when a sweep uses it,
+so single points and serial sweeps start faster.
 
 Exit codes: 0 ok, 1 output could not be written: stdout closed early
 (a broken pipe, as in `| head`, which goes unreported), or any other
@@ -393,6 +396,13 @@ def _pool_pays(args, g_max: int, d_max: int) -> bool:
     return bits is not None and bits >= POOL_MIN_SIZE
 
 
+# the most cells in one pool task: a pooled sweep's first record waits
+# for one chunk, and after its reader leaves the pool still finishes
+# the few chunks it has queued, so both are bounded by this size rather
+# than by a fraction of the grid
+_POOL_CHUNK_MAX = 512
+
+
 def _sweep(cell_fn, args, window) -> Iterator[RunRecord]:
     """The window's records in lexicographic order, yielded one at a
     time; a point's one-cell window caps the workers at 1, so it never
@@ -410,7 +420,7 @@ def _sweep(cell_fn, args, window) -> Iterator[RunRecord]:
 
         # a few chunks per worker: cheap cells amortize the pickle round
         # trip, and uneven cells still leave no worker idle for long
-        chunksize = max(1, count // (4 * workers))
+        chunksize = max(1, min(count // (4 * workers), _POOL_CHUNK_MAX))
         # a worker that does not inherit main's lifted digit limit
         # (any start method but fork) lifts it for itself
         with ProcessPoolExecutor(
@@ -624,8 +634,8 @@ def _main(argv) -> int:
     count = 0
     with _open_output(parser, args.out) as stream:
         # one write per batch (the module docstring gives the rule): a
-        # sweep holds at most a batch, and a serial one stops within a
-        # batch of its first failed write
+        # serial sweep holds at most a batch and stops within a batch of
+        # its first failed write
         batch, size = [], 0
         deadline = monotonic() + _BATCH_SECONDS
         try:

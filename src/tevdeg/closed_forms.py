@@ -69,8 +69,8 @@ class VTevResult(ValueObject):
 
 
 def _projective(problem: TevProblem) -> tuple[tuple[int, int], ...]:
-    """Factors for P^r: (r + 1)^g."""
-    return ((problem.target.r + 1, problem.g),)
+    """Factors for P^r: index^g, the index of P^r being r + 1."""
+    return ((problem.target.index, problem.g),)
 
 
 def check_hypersurface_range(e: int, r: int) -> None:
@@ -92,10 +92,11 @@ def _hypersurface(problem: TevProblem) -> tuple[tuple[int, int], ...]:
     (d-n)e - g + 1 = (e-1)(g-1) + e*k with k = d(e-2)/r, a positive
     integer because n is one, and that is at least e - (e-1).
     """
-    e, r = problem.target.e, problem.target.r
-    check_hypersurface_range(e, r)
+    target = problem.target
+    e = target.e
+    check_hypersurface_range(e, target.r)
     g, d, n = problem.g, problem.d, problem.n
-    return ((factorial(e - 1), n), (r + 2 - e, g), (e, (d - n) * e - g + 1))
+    return ((factorial(e - 1), n), (target.index, g), (e, (d - n) * e - g + 1))
 
 
 def _quadric(problem: TevProblem) -> tuple[tuple[int, int], ...]:

@@ -55,6 +55,7 @@ from __future__ import annotations
 
 from .arith import _integer
 from .errors import DomainError, MismatchedRank
+from .targets import ValueObject
 
 __all__ = ["PowerTable", "QElement", "handle_element", "q_mul", "tqft_vtev"]
 
@@ -67,7 +68,7 @@ def _check_rank(r) -> int:
     return r
 
 
-class QElement:
+class QElement(ValueObject):
     """Element of Z[q][h]/(h^(r+1) - q).
 
     `terms` maps the degree N = s*(r+1) + i of each monomial
@@ -76,10 +77,11 @@ class QElement:
     read-only view of the same element in the Z[q]-basis: a fresh
     tuple of r + 1 dicts, `coeffs[i]` mapping each q-exponent s to the
     coefficient of q^s * h^i. Treated as immutable: all operations
-    return fresh elements.
+    return fresh elements. A `ValueObject`: equal by `r` and `terms`,
+    so unhashable, with its own algebraic repr.
     """
 
-    __slots__ = ("r", "terms")
+    __slots__ = _fields = ("r", "terms")
 
     def __init__(self, r: int, coeffs=None):
         r = _check_rank(r)
@@ -135,13 +137,6 @@ class QElement:
         if q_exp < 0:
             raise DomainError("negative q-exponents are not allowed")
         return cls._trusted(r, {q_exp * (r + 1) + i: 1})
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, QElement)
-            and self.r == other.r
-            and self.terms == other.terms
-        )
 
     def __add__(self, other: "QElement") -> "QElement":
         if not isinstance(other, QElement):

@@ -44,6 +44,7 @@ from .errors import (
     LineDomainError,
     SpecialClassOutOfBox,
 )
+from .targets import ValueObject
 
 __all__ = [
     "SchubertCombo",
@@ -54,15 +55,16 @@ __all__ = [
 ]
 
 
-class SchubertCombo:
+class SchubertCombo(ValueObject):
     """Integer combination of Schubert classes on Gr(2, m).
 
     `terms` maps partitions (a, b) to nonzero multiplicities; zero
     multiplicities are never stored, and no argument is truncated to
-    an integer. Treated as immutable.
+    an integer. Treated as immutable. A `ValueObject`: equal by `m` and
+    `terms`, so unhashable, with its own algebraic repr.
     """
 
-    __slots__ = ("m", "terms")
+    __slots__ = _fields = ("m", "terms")
 
     def __init__(self, m: int, terms=None):
         self.m = m = _integer(m, "m")
@@ -94,23 +96,13 @@ class SchubertCombo:
         """The basis class sigma_(a,b)."""
         return cls(m, {(a, b): 1})
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, SchubertCombo)
-            and self.m == other.m
-            and self.terms == other.terms
-        )
-
-    def _require_same_space(self, other: "SchubertCombo") -> None:
+    def __add__(self, other: "SchubertCombo") -> "SchubertCombo":
+        if not isinstance(other, SchubertCombo):
+            return NotImplemented
         if self.m != other.m:
             raise DomainError(
                 f"cannot combine classes on Gr(2, {self.m}) and Gr(2, {other.m})"
             )
-
-    def __add__(self, other: "SchubertCombo") -> "SchubertCombo":
-        if not isinstance(other, SchubertCombo):
-            return NotImplemented
-        self._require_same_space(other)
         out = dict(self.terms)
         for key, mult in other.terms.items():
             out[key] = out.get(key, 0) + mult

@@ -67,7 +67,9 @@ class TargetKind(Enum):
 
 class ValueObject:
     """Base of the value classes: `==` by field and a field-by-field
-    repr, over the names a subclass lists in `_fields`.
+    repr, over the names a subclass lists in `_fields`. The engines'
+    `quantum.QElement` and `schubert.SchubertCombo` share its equality
+    and keep their own algebraic reprs.
 
     Instances are treated as immutable (a TargetSpec is frozen) and
     compare by value, so they are unhashable. A plain base rather than

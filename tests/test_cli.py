@@ -488,6 +488,46 @@ def pool_sizes(monkeypatch):
     return sizes
 
 
+@pytest.fixture
+def chunk_sizes(monkeypatch):
+    """The `chunksize` every process pool a sweep constructs is mapped
+    with, on a host that claims 8 CPUs."""
+    sizes = []
+
+    class RecordingPool(concurrent.futures.ProcessPoolExecutor):
+        def map(self, fn, *iterables, chunksize=1, **kwargs):
+            sizes.append(chunksize)
+            return super().map(fn, *iterables, chunksize=chunksize, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    return sizes
+
+
+@pytest.mark.parametrize(
+    "window, chunk",
+    [
+        # 41 x 40 cells, the line-oracle window: 1640 // (4 * 2)
+        (("2", "42", "7", "46"), 205),
+        # 64 x 64 cells: 4096 // (4 * 2) is the cap itself
+        (("0", "63", "1", "64"), 512),
+        # 65 x 64 cells would get chunks of 520
+        (("0", "64", "1", "64"), 512),
+    ],
+    ids=["41x40", "64x64", "65x64"],
+)
+def test_pool_chunks_hold_at_most_512_cells(capsys, chunk_sizes, window, chunk):
+    g_min, g_max, d_min, d_max = window
+    argv = ["tev-p1", "--method", "schubert", "--sweep", "--g-min", g_min,
+            "--g-max", g_max, "--d-min", d_min, "--d-max", d_max, "--json"]
+    code, serial = _run(capsys, argv)
+    assert code == 0 and chunk_sizes == []
+    code, pooled = _run(capsys, argv + ["--workers", "2"])
+    assert code == 0
+    assert chunk_sizes == [chunk]
+    assert pooled == serial
+
+
 def test_sweep_workers_capped_at_cell_count(capsys, pool_sizes):
     argv = ["tev-p1", "--sweep", "--g-max", "0", "--d-max", "2",
             "--method", "both", "--json"]

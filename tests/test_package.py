@@ -6,11 +6,15 @@ from __future__ import annotations
 import ast
 import importlib
 import re
+import runpy
 import sys
 import types
 from pathlib import Path
 
+import pytest
+
 import tevdeg
+import tevdeg.cli
 
 ROOT = Path(__file__).resolve().parents[1]
 LAYERS = ["arith", "certify", "closed_forms", "errors", "quantum", "schubert", "targets"]
@@ -43,6 +47,21 @@ def test_version_matches_pyproject():
     version = re.search(r'^version = "([^"]+)"$', project, re.MULTILINE)
     assert version is not None
     assert tevdeg.__version__ == version.group(1)
+
+
+def test_console_script_and_main_module_run_cli_main(monkeypatch):
+    # read as text, as the version is; `python -m tevdeg` must run the
+    # same function as the `tevdeg` script
+    text = (ROOT / "pyproject.toml").read_text()
+    scripts = text.split("[project.scripts]\n", 1)[1].split("\n[", 1)[0]
+    assert scripts.strip() == 'tevdeg = "tevdeg.cli:main"'
+    module, name = scripts.split('"')[1].split(":")
+    entry = getattr(importlib.import_module(module), name)
+    assert entry is tevdeg.cli.main
+    monkeypatch.setattr(tevdeg.cli, "main", lambda: 7)
+    with pytest.raises(SystemExit) as exit_info:
+        runpy.run_module("tevdeg", run_name="__main__")
+    assert exit_info.value.code == 7
 
 
 def test_readme_library_block_runs_as_documented():

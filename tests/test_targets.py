@@ -44,7 +44,7 @@ from tevdeg import (
 )
 from tevdeg.arith import _integer
 from tevdeg.cli import RunRecord, parse_target, run_vtev
-from tevdeg.targets import degree_step
+from tevdeg.targets import ValueObject, degree_step
 
 
 def _marking_count(target, g, d):
@@ -757,6 +757,38 @@ def test_value_classes_survive_pickle(build, text):
     assert type(copy) is type(value)
     assert copy == value
     assert repr(copy) == text
+
+
+# the engines' value types: their reprs are algebraic, not the
+# dataclass repr, so they stay out of VALUE_REPRS
+ENGINE_VALUES = [
+    (lambda: QElement(2, [{0: 1}, {1: -3}, {}]), ("r", "terms")),
+    (lambda: SchubertCombo(5, {(2, 1): 3, (1, 0): -1}), ("m", "terms")),
+]
+
+
+@pytest.mark.parametrize("build, fields", ENGINE_VALUES, ids=["QElement", "SchubertCombo"])
+def test_engine_values_keep_the_value_object_contract(build, fields):
+    first, second = build(), build()
+    cls = type(first)
+    assert isinstance(first, ValueObject)
+    assert cls._fields == fields
+    assert "__eq__" not in vars(cls)
+    assert first is not second
+    assert first == second
+    assert not first != second
+    assert first != tuple(getattr(first, name) for name in fields)
+    assert first.__eq__(object()) is NotImplemented
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(first)
+    for name in fields:
+        changed = build()
+        setattr(changed, name, ("changed",))
+        assert first != changed, name
+    duplicate = pickle.loads(pickle.dumps(first))
+    assert type(duplicate) is cls
+    assert duplicate == first
+    assert repr(duplicate) == repr(first)
 
 
 # a spec from each factory, each normalization, and the parser
