@@ -42,10 +42,15 @@ uses the pool. A closed-form sweep (`vtev`, `certify`, `tev-p1
 bit length, `closed_forms.value_bits` (P^1's for the line), reaches
 `POOL_MIN_SIZE`: below that a cell costs less than the pool's
 start-up. A sweep of a target with no closed form (`gp:`, `custom:`)
-computes no value, so it never pools. A pooled sweep submits all its
-chunks, of at most 512 cells, at once and computes ahead of its
-reader: it holds its grid's cells and its finished but unwritten
-records, and its first record waits for its first chunk. The pool
+computes no value, so it never pools. A pooled sweep's workers render
+its records, so the parent holds and writes only text. Cells go out
+in chunks of at most 512, in windows of 8 chunks per worker, and the
+next window is submitted before the current one is drained: the sweep
+holds at most two windows of cells and text, its first record waits
+for its first chunk, and when its reader leaves it cancels every chunk
+no worker has taken. The heap is frozen (`gc.freeze`) before the pool
+forks, so the workers' collections and the parent's at exit skip it;
+an in-process caller of `main` keeps those objects frozen. The pool
 (and multiprocessing with it) is imported only when a sweep uses it,
 so single points and serial sweeps start faster.
 
@@ -55,10 +60,10 @@ failed write or flush, such as a full disk or text the stream's
 encoding cannot spell, which prints the one line
 `tevdeg: error: cannot write output: <reason>` to stderr (either way a
 serial sweep or `qh-check --per-case` stops at its first failed
-write, and a pooled sweep shuts its pool down), 2 parse or usage
-error (an empty sweep or qh-check grid is one, and so are a flag not
-spelled in full, an `--out` path that cannot be opened, and mixing
-point flags `--g`/`--d` with grid flags
+write, and a pooled sweep cancels its untaken chunks and shuts its
+pool down), 2 parse or usage error (an empty sweep or qh-check grid
+is one, and so are a flag not spelled in full, an `--out` path that
+cannot be opened, and mixing point flags `--g`/`--d` with grid flags
 `--sweep`/`--g-max`/`--d-max`/`--g-min`/`--d-min`/`--workers`),
 3 well-posedness error, 4 hypothesis or formula-domain violation.
 A failed record's code is the `exit_code` of its error class, defined
@@ -70,6 +75,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import gc
 import io
 import itertools
 import json
@@ -368,6 +374,15 @@ def _run_cell(command: str, option: str, cell: tuple[int, int]) -> RunRecord:
     return run_certify(option, g, d)
 
 
+def _render_cell(command: str, option: str, as_json: bool, cell: tuple[int, int]) -> str:
+    """A pooled cell: `_run_cell`'s record rendered in the worker, so
+    only its text goes back to the parent. Like the `run_*`, the
+    renderer is looked up by name when the cell runs, so the task holds
+    no function a caller may have rebound."""
+    record = _run_cell(command, option, cell)
+    return render_json(record) if as_json else render_table(record)
+
+
 # A closed-form cell (vtev, certify, tev-p1 --method binomial) takes
 # about 10 us until its value nears 10^4 bits, far less than starting,
 # feeding and shutting down a process pool. So such a sweep pools only
@@ -401,36 +416,56 @@ def _pool_pays(args, g_max: int, d_max: int) -> bool:
 # the few chunks it has queued, so both are bounded by this size rather
 # than by a fraction of the grid
 _POOL_CHUNK_MAX = 512
+# chunks per worker in one `pool.map` call; a sweep submits the next
+# call's chunks before it drains the current call's, so it holds at
+# most two windows of cells and results however large its grid
+_POOL_WINDOW_CHUNKS = 8
 
 
-def _sweep(cell_fn, args, window) -> Iterator[RunRecord]:
+def _sweep(args, window) -> Iterator[RunRecord | str]:
     """The window's records in lexicographic order, yielded one at a
-    time; a point's one-cell window caps the workers at 1, so it never
-    weighs a pool."""
+    time: a serial sweep's as `RunRecord`s, a pooled sweep's as the
+    text its workers rendered. A point's one-cell window caps the
+    workers at 1, so it never weighs a pool."""
     g_min, g_max, d_min, d_max = window
     cells = itertools.product(range(g_min, g_max + 1), range(d_min, d_max + 1))
     count = (g_max - g_min + 1) * (d_max - d_min + 1)
     # a pool starts all its processes at once; more than the CPUs only
     # add start-up and memory (args.workers is None or >= 1)
     workers = min(args.workers or 1, count, os.cpu_count() or 1)
-    if workers > 1 and _pool_pays(args, g_max, d_max):
-        # imported here: the pool pulls in multiprocessing, which a
-        # serial run never needs
-        from concurrent.futures import ProcessPoolExecutor
+    option = args.method if args.command == "tev-p1" else args.target
+    if not (workers > 1 and _pool_pays(args, g_max, d_max)):
+        yield from map(partial(_run_cell, args.command, option), cells)
+        return
+    # imported here: the pool pulls in multiprocessing, which a serial
+    # run never needs
+    from concurrent.futures import ProcessPoolExecutor
 
-        # a few chunks per worker: cheap cells amortize the pickle round
-        # trip, and uneven cells still leave no worker idle for long
-        chunksize = max(1, min(count // (4 * workers), _POOL_CHUNK_MAX))
-        # a worker that does not inherit main's lifted digit limit
-        # (any start method but fork) lifts it for itself
-        with ProcessPoolExecutor(
-            max_workers=workers,
-            initializer=sys.set_int_max_str_digits,
-            initargs=(0,),
-        ) as pool:
-            yield from pool.map(cell_fn, cells, chunksize=chunksize)
-    else:
-        yield from map(cell_fn, cells)
+    # a few chunks per worker: cheap cells amortize the pickle round
+    # trip, and uneven cells still leave no worker idle for long
+    chunksize = max(1, min(count // (4 * workers), _POOL_CHUNK_MAX))
+    span = _POOL_WINDOW_CHUNKS * workers * chunksize
+    task = partial(_render_cell, args.command, option, args.json)
+    # the gc module's advice before a fork: freeze the heap, so the
+    # workers' collections never walk (and copy) the pages they share
+    # with the parent, and the parent's at exit never walk it either
+    gc.freeze()
+    # a worker that does not inherit main's lifted digit limit (any
+    # start method but fork) lifts it for itself
+    pool = ProcessPoolExecutor(
+        max_workers=workers, initializer=sys.set_int_max_str_digits, initargs=(0,)
+    )
+    try:
+        results = iter(())
+        for _ in range(0, count, span):
+            ahead = pool.map(task, itertools.islice(cells, span), chunksize=chunksize)
+            yield from results
+            results = ahead
+        yield from results
+    finally:
+        # closing a `map` iterator that has not started cancels none of
+        # its chunks, so an early close or a failing cell cancels here
+        pool.shutdown(cancel_futures=True)
 
 
 def render_table(record: RunRecord) -> str:
@@ -619,9 +654,7 @@ def _main(argv) -> int:
     if _COMMANDS[args.command][1]:  # runs (g, d) cells
         if args.workers is not None and args.workers < 1:
             parser.error(f"--workers must be >= 1, got {args.workers}")
-        option = args.method if args.command == "tev-p1" else args.target
-        cell_fn = partial(_run_cell, args.command, option)
-        run = partial(_sweep, cell_fn, args, _window(parser, args))
+        run = partial(_sweep, args, _window(parser, args))
     elif args.command == "qh-check":
         _reject_empty_grid(parser, "qh-check grid", (0, args.g_max, 1, args.d_max))
         run = partial(_qh_check, args.r, args.g_max, args.d_max, args.per_case)
@@ -640,7 +673,8 @@ def _main(argv) -> int:
         deadline = monotonic() + _BATCH_SECONDS
         try:
             for record in run():
-                text = render(record)
+                # a pooled sweep's workers have rendered its records
+                text = record if isinstance(record, str) else render(record)
                 batch.append(separator + text if count else text)
                 count += 1
                 size += len(batch[-1])

@@ -5,11 +5,15 @@ from __future__ import annotations
 import ast
 import concurrent.futures
 import contextlib
+import functools
+import gc
 import hashlib
 import io
 import itertools
 import json
+import multiprocessing
 import os
+import pickle
 import random
 import re
 import signal
@@ -489,19 +493,33 @@ def pool_sizes(monkeypatch):
 
 
 @pytest.fixture
-def chunk_sizes(monkeypatch):
-    """The `chunksize` every process pool a sweep constructs is mapped
-    with, on a host that claims 8 CPUs."""
-    sizes = []
+def pool_maps(monkeypatch):
+    """Each `pool.map` call of a sweep as (task, cells, chunksize, the
+    results the sweep had taken from earlier calls when it made this
+    one), on a host that claims 8 CPUs. The pools fork their workers,
+    so a worker sees what a test monkeypatched before the sweep."""
+    calls, taken = [], [0]
+
+    def counted(results):
+        with contextlib.closing(results):
+            for result in results:
+                taken[0] += 1
+                yield result
 
     class RecordingPool(concurrent.futures.ProcessPoolExecutor):
-        def map(self, fn, *iterables, chunksize=1, **kwargs):
-            sizes.append(chunksize)
-            return super().map(fn, *iterables, chunksize=chunksize, **kwargs)
+        def __init__(self, max_workers=None, **kwargs):
+            kwargs["mp_context"] = multiprocessing.get_context("fork")
+            super().__init__(max_workers, **kwargs)
+
+        def map(self, fn, cells, chunksize=1):
+            cells = list(cells)
+            calls.append((fn, cells, chunksize, taken[0]))
+            # submitted here, as `map` itself submits every chunk at once
+            return counted(super().map(fn, cells, chunksize=chunksize))
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(os, "cpu_count", lambda: 8)
-    return sizes
+    return calls
 
 
 @pytest.mark.parametrize(
@@ -516,16 +534,122 @@ def chunk_sizes(monkeypatch):
     ],
     ids=["41x40", "64x64", "65x64"],
 )
-def test_pool_chunks_hold_at_most_512_cells(capsys, chunk_sizes, window, chunk):
+def test_pool_chunks_hold_at_most_512_cells(capsys, pool_maps, window, chunk):
     g_min, g_max, d_min, d_max = window
     argv = ["tev-p1", "--method", "schubert", "--sweep", "--g-min", g_min,
             "--g-max", g_max, "--d-min", d_min, "--d-max", d_max, "--json"]
     code, serial = _run(capsys, argv)
-    assert code == 0 and chunk_sizes == []
+    assert code == 0 and pool_maps == []
     code, pooled = _run(capsys, argv + ["--workers", "2"])
     assert code == 0
-    assert chunk_sizes == [chunk]
+    # at most 16 chunks: one `pool.map` call
+    assert [chunksize for _, _, chunksize, _ in pool_maps] == [chunk]
     assert pooled == serial
+
+
+def test_pooled_tables_match_serial_ones(capsys, pool_sizes):
+    # the workers render a pooled sweep's records, as tables too; the
+    # window holds LineDomainError and DegreeUnderflow records
+    argv = ["tev-p1", "--method", "both", "--sweep", "--g-min", "-1", "--g-max", "3",
+            "--d-max", "5"]
+    code, serial = _run(capsys, argv)
+    assert code == 0 and pool_sizes == []
+    assert "err  LineDomainError" in serial and "err  DegreeUnderflow" in serial
+    code, pooled = _run(capsys, argv + ["--workers", "2"])
+    assert code == 0 and pool_sizes == [2]
+    assert pooled == serial
+
+
+def test_the_pool_task_names_its_renderer(capsys, monkeypatch, pool_maps):
+    # a tracer may rebind `cli.render_json` while a sweep runs and pickle
+    # the sweep's tasks after it has put the original back, so a task
+    # names its renderer and never holds the function it found
+    original = cli.render_json
+
+    @functools.wraps(original)
+    def traced(record):
+        return original(record)
+
+    monkeypatch.setattr(cli, "render_json", traced)
+    code, _ = _run(capsys, ["tev-p1", "--method", "both", "--sweep", "--g-max", "3",
+                            "--d-max", "5", "--json", "--workers", "2"])
+    monkeypatch.setattr(cli, "render_json", original)
+    assert code == 0
+    ((task, cells, _, _),) = pool_maps
+    with pytest.raises(pickle.PicklingError):
+        pickle.dumps(traced)  # what a task holding the wrapper would meet
+    task = pickle.loads(pickle.dumps(task))
+    assert task(cells[7]) == original(run_tev_p1(*cells[7], "both"))
+
+
+def test_the_heap_is_frozen_before_the_pool_forks(capsys, monkeypatch):
+    # a frozen heap keeps the workers' collections off the pages they
+    # share with the parent; a serial sweep freezes nothing
+    events = []
+
+    class Pool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers=None, **kwargs):
+            events.append("pool")
+            super().__init__(max_workers, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(gc, "freeze", lambda: events.append("freeze"))
+    argv = ["tev-p1", "--method", "schubert", "--sweep", "--g-max", "3", "--d-max", "5"]
+    code, serial = _run(capsys, argv)
+    assert code == 0 and events == []
+    code, pooled = _run(capsys, argv + ["--workers", "2"])
+    assert code == 0 and events == ["freeze", "pool"]
+    assert pooled == serial
+
+
+# 200 x 85 cells, half of them LineDomainError records: chunks of 512,
+# and 16 chunks (8 per worker) to a `pool.map` call
+_MANY_WINDOWS = ["tev-p1", "--method", "schubert", "--sweep", "--g-min", "-100",
+                 "--g-max", "99", "--d-max", "85", "--json"]
+
+
+def test_a_grid_of_many_chunks_is_mapped_window_by_window(capsys, pool_maps):
+    code, serial = _run(capsys, _MANY_WINDOWS)
+    assert code == 0 and pool_maps == []
+    code, pooled = _run(capsys, _MANY_WINDOWS + ["--workers", "2"])
+    assert code == 0
+    assert pooled == serial
+    assert [len(cells) for _, cells, _, _ in pool_maps] == [8192, 8192, 616]
+    assert {chunksize for _, _, chunksize, _ in pool_maps} == {512}
+    # each call is made before the one before it is drained
+    assert [taken for _, _, _, taken in pool_maps] == [0, 0, 8192]
+    assert [cell for _, cells, _, _ in pool_maps for cell in cells] == list(
+        itertools.product(range(-100, 100), range(1, 86))
+    )
+
+
+def test_a_reader_that_leaves_cancels_the_windows_not_yet_started(
+    monkeypatch, tmp_path, pool_maps
+):
+    # chunks of 4 slow cells, 64 cells to a call; the first write fails
+    # once the first chunk is back, when the second call has been made
+    # but not started, and closing a `map` iterator that has not
+    # started cancels none of its chunks
+    ran = tmp_path / "ran"
+
+    def slow(g, d, method):
+        time.sleep(0.01)
+        with open(ran, "a") as log:
+            log.write(".")
+        return run_tev_p1(g, d, method)
+
+    monkeypatch.setattr(cli, "_POOL_CHUNK_MAX", 4)
+    monkeypatch.setattr(cli, "run_tev_p1", slow)
+    monkeypatch.setattr(cli, "monotonic", _Clock(cli._BATCH_SECONDS))
+    with open(tmp_path / "stdout", "w") as scratch:
+        monkeypatch.setattr(sys, "stdout", _Sink(scratch.fileno(), fail_at=1))
+        code = main(["tev-p1", "--method", "schubert", "--sweep", "--g-max", "9",
+                     "--d-max", "20", "--json", "--workers", "2"])
+    assert code == 1
+    assert [len(cells) for _, cells, _, _ in pool_maps] == [64, 64]
+    # the chunks the workers held or had queued ran, and no others
+    assert len(ran.read_text()) < 64
 
 
 def test_sweep_workers_capped_at_cell_count(capsys, pool_sizes):
@@ -1422,6 +1546,25 @@ def test_closed_stdout_pipe_exits_1_without_a_traceback(argv):
         assert proc.returncode == 1
         assert "Traceback" not in err.decode()
         assert "Exception ignored" not in err.decode()
+        assert _group_exits(proc.pid), "a process of the run outlived it"
+    finally:
+        with contextlib.suppress(ProcessLookupError):
+            os.killpg(proc.pid, signal.SIGKILL)
+        proc.wait()
+
+
+def test_a_reader_that_leaves_a_sweep_of_many_windows_stops_it():
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "tevdeg", *_MANY_WINDOWS, "--workers", "2"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_env_with_src(),
+        start_new_session=True,
+    )
+    try:
+        assert proc.stdout.readline().startswith(b'{"command": "tev-p1"')
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+        assert proc.returncode == 1
+        assert err == b""
         assert _group_exits(proc.pid), "a process of the run outlived it"
     finally:
         with contextlib.suppress(ProcessLookupError):
